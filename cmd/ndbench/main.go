@@ -15,13 +15,12 @@
 //	ndbench -serve                            # defaults: FW-1D n=256, 4×200
 //	ndbench -serve -submitters 8 -repeats 500 -algo TRS -n 128 -nilbodies
 //	ndbench -serve -workers 2                 # pin the engine pool size
-//	ndbench -serve -locality                  # add the cache-domain engine row
 //	ndbench -serve -policy critpath           # add a critical-path-first engine row
 //	ndbench -serve -policy relaxed            # add a relaxed-MultiQueue engine row
+//	ndbench -serve -policy locality           # add the cache-domain engine row
 //
 // -workers pins the engine pool size (default GOMAXPROCS), so a worker
-// sweep is one invocation per count; -locality adds an engine whose
-// workers are grouped into cache domains (see DESIGN.md).
+// sweep is one invocation per count.
 //
 // Passing -json in either mode emits the result tables as a JSON array on
 // stdout instead of printed tables, for machine-readable benchmark
@@ -45,7 +44,6 @@ import (
 	"github.com/ndflow/ndflow/internal/dyn"
 	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/experiments"
-	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
@@ -65,8 +63,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "serving mode: engine worker count (0 = GOMAXPROCS); sweep by invoking once per count")
 		nilBodies  = flag.Bool("nilbodies", false, "serving mode: strip strand closures (pure scheduling)")
 		dynMode    = flag.Bool("dyn", false, "serving mode: add the dynamic runtime (online Spawn/Future replay) as a third row")
-		locality   = flag.Bool("locality", false, "serving mode: add the locality-aware engine (cache-domain anchoring on pmh.DefaultSpec(workers)) as another row")
-		policy     = flag.String("policy", "", "serving mode: add a priority-scheduling engine row: critpath (depth-to-sink fan-out ordering) or relaxed (per-worker MultiQueue pairs)")
+		policy     = flag.String("policy", "", "serving mode: add an engine row under another scheduling policy: critpath (depth-to-sink fan-out ordering), relaxed (per-worker MultiQueue pairs) or locality (cache-domain anchoring on pmh.DefaultSpec(workers))")
 		traceOut   = flag.String("trace", "", "serving mode: write a Chrome trace (about:tracing / Perfetto) of one engine run to FILE")
 		metricsOut = flag.Bool("metrics", false, "serving mode: append the engine's telemetry counter snapshot as a table")
 	)
@@ -79,7 +76,7 @@ func main() {
 		return
 	}
 	if *serve {
-		tables, err := serveBench(*algo, *size, *base, *workers, *submitters, *repeats, *nilBodies, *dynMode, *locality, *policy, *traceOut, *metricsOut)
+		tables, err := serveBench(*algo, *size, *base, *workers, *submitters, *repeats, *nilBodies, *dynMode, *policy, *traceOut, *metricsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ndbench:", err)
 			os.Exit(1)
@@ -134,7 +131,8 @@ func emit(tables []*experiments.Table, jsonOut bool) {
 // serveBench measures serving throughput and returns the result table:
 // submitters × repeats runs, first through a shared engine
 // (compiled-graph cache, pooled instances, parked workers), then through
-// spawn-per-run exec.RunParallel calls on the same worker count.
+// exec.RunParallel calls — a transient engine per run — on the same
+// worker count.
 //
 // With live strand bodies each submitter re-runs its own instance (its
 // own backing matrices, like distinct requests in a server) — concurrent
@@ -143,7 +141,7 @@ func emit(tables []*experiments.Table, jsonOut bool) {
 // like the default FW-1D, not for in-place destructive factorizations
 // (LU, Cholesky, TRS). -nilbodies strips the closures, shares one graph
 // across submitters, and isolates scheduling overhead for any algorithm.
-func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodies, dynMode, locality bool, policy, traceOut string, metricsOut bool) ([]*experiments.Table, error) {
+func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodies, dynMode bool, policy, traceOut string, metricsOut bool) ([]*experiments.Table, error) {
 	// Pure forward recurrences recompute the same table from untouched
 	// inputs, so re-running one instance is sound; everything else (the
 	// in-place destructive factorizations and solves) must serve with
@@ -196,53 +194,29 @@ func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodie
 		{"engine", func(s int) error { return eng.Run(graphs[s].P) }},
 		{"spawn-per-run", func(s int) error { return exec.RunParallel(graphs[s], workers) }},
 	}
-	if locality {
-		// The locality-aware engine: the same cached re-runs with workers
-		// grouped into cache domains from the default machine-shaped spec,
-		// anchored tasks routed to their domains, nearest-first stealing.
-		// With -nilbodies the anchor plan is empty by design (footprints
-		// no body touches are not worth colocating) and this row should
-		// match the flat engine.
-		locEng, err := exec.NewLocalityEngine(workers, pmh.DefaultSpec(workers), 0)
-		if err != nil {
-			return nil, err
-		}
-		defer locEng.Close()
-		for _, g := range graphs {
-			if err := locEng.Run(g.P); err != nil {
-				return nil, err
-			}
-		}
-		modes = append(modes, struct {
-			name string
-			run  func(s int) error
-		}{"engine-locality", func(s int) error { return locEng.Run(graphs[s].P) }})
-	}
 	if policy != "" {
-		// A priority-scheduling engine row: the same cached re-runs with
-		// fan-out ordered by the compile-time depth-to-sink table —
-		// either strictly on the worker's own deque (critpath) or through
-		// per-worker relaxed MultiQueue pairs (relaxed). See DESIGN.md's
-		// scheduling-policies section for when each wins.
-		var prioEng *exec.Engine
-		switch policy {
-		case "critpath":
-			prioEng = exec.NewEngine(workers, exec.WithPolicy(exec.PolicyCriticalPath))
-		case "relaxed":
-			prioEng = exec.NewRelaxedEngine(workers)
-		default:
-			return nil, fmt.Errorf("-policy %q: want critpath or relaxed", policy)
+		// The same cached re-runs under another scheduling policy (see
+		// DESIGN.md's scheduler-seam section for when each wins). With
+		// -nilbodies the locality anchor plan is empty by design
+		// (footprints no body touches are not worth colocating) and its
+		// row should match the flat engine.
+		pol, ok := map[string]exec.Policy{
+			"critpath": exec.PolicyCriticalPath, "relaxed": exec.PolicyRelaxed, "locality": exec.PolicyLocality,
+		}[policy]
+		if !ok {
+			return nil, fmt.Errorf("-policy %q: want critpath, relaxed or locality", policy)
 		}
-		defer prioEng.Close()
+		polEng := exec.NewEngine(workers, exec.WithPolicy(pol))
+		defer polEng.Close()
 		for _, g := range graphs {
-			if err := prioEng.Run(g.P); err != nil {
+			if err := polEng.Run(g.P); err != nil {
 				return nil, err
 			}
 		}
 		modes = append(modes, struct {
 			name string
 			run  func(s int) error
-		}{"engine-" + policy, func(s int) error { return prioEng.Run(graphs[s].P) }})
+		}{"engine-" + policy, func(s int) error { return polEng.Run(graphs[s].P) }})
 	}
 	var progs []*dyn.Program
 	var warmRuns, warmHits uint64
@@ -296,7 +270,7 @@ func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodie
 			fmt.Sprintf("%.0f", float64(runs)/wall.Seconds()),
 			fmt.Sprintf("%.1f", allocs), fmt.Sprintf("%.0f", bytes))
 	}
-	t.Note("engine amortizes Rewrite+Compile, trackers and worker spawn across runs; spawn-per-run pays all three each time")
+	t.Note("engine amortizes Rewrite+Compile, trackers and worker spawn across runs; spawn-per-run starts and closes an engine per run and pays all three each time")
 	if dynMode {
 		var st dyn.ProgramStats
 		compiled := 0

@@ -27,7 +27,6 @@ import (
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/dyn"
 	"github.com/ndflow/ndflow/internal/exec"
-	"github.com/ndflow/ndflow/internal/pmh"
 )
 
 const chaosDeadline = 10 * time.Second
@@ -86,37 +85,18 @@ func golden(tb testing.TB, c diffCase, model string) []uint64 {
 	return bits(outs)
 }
 
-// TestChaosPanicWall: 8 builders × 11 runtimes. Each runtime executes a
+// TestChaosPanicWall: 8 builders × 10 runtimes. Each runtime executes a
 // sabotaged instance (must fail typed, within the deadline), then a
 // clean instance on the very same engine (must match golden bits).
 func TestChaosPanicWall(t *testing.T) {
-	eng := exec.NewEngine(4)
+	eng := diffEngine(t, exec.PolicyFIFO)
 	defer eng.Close()
-	locEng, err := exec.NewLocalityEngine(4, pmh.Spec{
-		ProcsPerL1: 1,
-		Caches: []pmh.CacheSpec{
-			{Size: 192, Fanout: 2, MissCost: 1},
-			{Size: 960, Fanout: 2, MissCost: 10},
-		},
-		MemMissCost: 100,
-	}, 1.0/3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	locEng := diffEngine(t, exec.PolicyLocality)
 	defer locEng.Close()
-	cpEng := exec.NewEngine(4, exec.WithPolicy(exec.PolicyCriticalPath))
+	cpEng := diffEngine(t, exec.PolicyCriticalPath)
 	defer cpEng.Close()
-	rlxEng := exec.NewRelaxedEngine(4)
+	rlxEng := diffEngine(t, exec.PolicyRelaxed)
 	defer rlxEng.Close()
-	submitTo := func(e *exec.Engine) func(g *core.Graph) error {
-		return func(g *core.Graph) error {
-			r, err := e.Submit(g)
-			if err != nil {
-				return err
-			}
-			return r.Wait()
-		}
-	}
 	runtimes := []struct {
 		name     string
 		idemOnly bool
@@ -125,7 +105,6 @@ func TestChaosPanicWall(t *testing.T) {
 		{"elision", false, exec.RunElision},
 		{"random-topo", false, func(g *core.Graph) error { return exec.RunRandomTopo(g, 99) }},
 		{"reverse-greedy", false, exec.RunReverseGreedy},
-		{"mutex-4", false, func(g *core.Graph) error { return exec.RunParallelMutex(g, 4) }},
 		{"lockfree-4", false, func(g *core.Graph) error { return exec.RunParallel(g, 4) }},
 		{"engine", false, submitTo(eng)},
 		{"dyn", false, func(g *core.Graph) error { return dyn.RunGraph(eng, g) }},
@@ -223,13 +202,14 @@ func TestChaosCancelWall(t *testing.T) {
 }
 
 // TestChaosFaultInjector drives the scheduler-level hook across the
-// wall: FaultDelay at every strand must not change a single output bit
-// (determinism does not lean on timing), and FaultPanic at a moving
-// strand index fails runs typed while disarmed runs stay golden.
+// wall, on every policy: FaultDelay at every strand must not change a
+// single output bit (determinism does not lean on timing), and
+// FaultPanic at a moving strand index fails runs typed while disarmed
+// runs stay golden.
 func TestChaosFaultInjector(t *testing.T) {
 	var mode atomic.Int32 // 0 none, 1 delay-all, 2 panic-at-target
 	var target atomic.Int32
-	eng := exec.NewEngine(4, exec.WithFaultInjector(func(strand int32) exec.Fault {
+	inject := exec.WithFaultInjector(func(strand int32) exec.Fault {
 		switch mode.Load() {
 		case 1:
 			return exec.FaultDelay
@@ -239,58 +219,51 @@ func TestChaosFaultInjector(t *testing.T) {
 			}
 		}
 		return exec.FaultNone
-	}))
-	defer eng.Close()
-	for ci, c := range diffCases() {
-		c := c
-		model := c.models[0]
-		t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
-			want := golden(t, c, fmt.Sprint(model))
-			// Delay chaos: jitter every strand, output must stay golden.
-			mode.Store(1)
-			g, outs, err := c.build(model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := eng.Submit(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := within(t, c.name+"/delay", r.Wait); err != nil {
-				t.Fatalf("delay-faulted run: %v", err)
-			}
-			diffBits(t, "delay-chaos", bits(outs), want)
-			// Panic chaos at a case-dependent strand index.
-			mode.Store(2)
-			target.Store(int32(ci % len(g.P.Leaves)))
-			pg, _, err := c.build(model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, err := eng.Submit(pg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = within(t, c.name+"/panic", pr.Wait)
-			var pe *exec.StrandPanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("injected panic run = %v, want *StrandPanicError", err)
-			}
-			// Disarm: clean run interleaved right after is golden again.
-			mode.Store(0)
-			cg, couts, err := c.build(model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cr, err := eng.Submit(cg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := within(t, c.name+"/clean", cr.Wait); err != nil {
-				t.Fatalf("clean run after injector chaos: %v", err)
-			}
-			diffBits(t, "clean-after-injector", bits(couts), want)
-		})
+	})
+	for _, p := range diffPolicies {
+		eng := diffEngine(t, p, inject)
+		for ci, c := range diffCases() {
+			c := c
+			model := c.models[0]
+			t.Run(fmt.Sprintf("%s/%s/%s", p, c.name, model), func(t *testing.T) {
+				run := func(label string, g *core.Graph) error {
+					return within(t, label, func() error { return submitTo(eng)(g) })
+				}
+				want := golden(t, c, fmt.Sprint(model))
+				// Delay chaos: jitter every strand, output must stay golden.
+				mode.Store(1)
+				g, outs, err := c.build(model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run(c.name+"/delay", g); err != nil {
+					t.Fatalf("delay-faulted run: %v", err)
+				}
+				diffBits(t, "delay-chaos", bits(outs), want)
+				// Panic chaos at a case-dependent strand index.
+				mode.Store(2)
+				target.Store(int32(ci % len(g.P.Leaves)))
+				pg, _, err := c.build(model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var pe *exec.StrandPanicError
+				if err := run(c.name+"/panic", pg); !errors.As(err, &pe) {
+					t.Fatalf("injected panic run = %v, want *StrandPanicError", err)
+				}
+				// Disarm: clean run interleaved right after is golden again.
+				mode.Store(0)
+				cg, couts, err := c.build(model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run(c.name+"/clean", cg); err != nil {
+					t.Fatalf("clean run after injector chaos: %v", err)
+				}
+				diffBits(t, "clean-after-injector", bits(couts), want)
+			})
+		}
+		eng.Close()
 	}
 }
 

@@ -1,14 +1,14 @@
 // Cross-runtime differential tests: every algorithm builder executed via
 // the serial elision, the adversarial serial orders (random topological,
-// reverse greedy), the mutex-serialized baseline, the lock-free work
-// stealer, the long-lived engine, the online dynamic runtime and the
-// locality-aware engine must produce bit-identical output matrices. The
+// reverse greedy), the one-shot work stealer, the long-lived engine under
+// each of its four policies, the online dynamic runtime and its JIT must
+// produce bit-identical output matrices. The
 // compiled runtimes propagate readiness through the strand-level wake
 // graph (serial drivers via Tracker, parallel ones via
 // ConcurrentTracker); the dynamic runtime rebuilds the dependency
 // structure online from Spawn/Future gating and learns the DAG one task
 // at a time; the locality-aware engine re-routes anchored strands
-// through cache-domain mailboxes. All eight execute the same strand
+// through cache-domain mailboxes. All ten execute the same strand
 // closures, and the deps validator guarantees conflicting accesses are
 // ordered by the DAG, so any divergence — down to the last mantissa bit —
 // is a scheduler, wake-graph-collapse, suspension or anchoring bug. Run
@@ -34,6 +34,7 @@ import (
 	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
 	"github.com/ndflow/ndflow/internal/pmh"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // diffCase builds a fresh instance of an algorithm and exposes its output
@@ -202,33 +203,57 @@ func diffBits(t *testing.T, label string, got, want []uint64) {
 	}
 }
 
-// TestRuntimesBitIdentical is the cross-runtime differential: for every
-// algorithm and model, each runtime executes a fresh instance and must
-// reproduce the serial elision's output bit for bit. The engine case also
-// exercises instance-pool reuse by submitting through one shared engine.
-func TestRuntimesBitIdentical(t *testing.T) {
-	eng := exec.NewEngine(4)
-	defer eng.Close()
-	// A deliberately tiny hierarchy for the locality-aware engine: the L2
-	// anchoring threshold (σ·960/4 = 80 words) sits inside the footprint
-	// range of the 16×16 builders' task trees, so anchoring, domain
-	// claiming, mailbox handoffs and budget fallbacks all fire during the
-	// differential run.
-	locEng, err := exec.NewLocalityEngine(4, pmh.Spec{
+// diffPolicies is the Policy enum: the walls below run on every one.
+var diffPolicies = []exec.Policy{exec.PolicyFIFO, exec.PolicyCriticalPath, exec.PolicyRelaxed, exec.PolicyLocality}
+
+// diffEngine starts a 4-worker engine under the policy, with any further
+// options. PolicyLocality gets a deliberately tiny hierarchy: the L2
+// anchoring threshold (σ·960/4 = 80 words) sits inside the footprint
+// range of the 16×16 builders' task trees, so anchoring, domain
+// claiming, mailbox handoffs and budget fallbacks all fire during the
+// differential run.
+func diffEngine(tb testing.TB, p exec.Policy, opts ...exec.Option) *exec.Engine {
+	tb.Helper()
+	if p != exec.PolicyLocality {
+		return exec.NewEngine(4, append(opts, exec.WithPolicy(p))...)
+	}
+	topo, err := exec.NewTopology(pmh.Spec{
 		ProcsPerL1: 1,
 		Caches: []pmh.CacheSpec{
 			{Size: 192, Fanout: 2, MissCost: 1},
 			{Size: 960, Fanout: 2, MissCost: 10},
 		},
 		MemMissCost: 100,
-	}, 1.0/3)
+	}, 4, 1.0/3)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return exec.NewEngine(4, append(opts, exec.WithTopology(topo))...)
+}
+
+// submitTo runs one graph to completion on the engine.
+func submitTo(e *exec.Engine) func(g *core.Graph) error {
+	return func(g *core.Graph) error {
+		r, err := e.Submit(g)
+		if err != nil {
+			return err
+		}
+		return r.Wait()
+	}
+}
+
+// TestRuntimesBitIdentical is the cross-runtime differential: for every
+// algorithm and model, each runtime executes a fresh instance and must
+// reproduce the serial elision's output bit for bit. The engine cases
+// also exercise instance-pool reuse by submitting through shared engines.
+func TestRuntimesBitIdentical(t *testing.T) {
+	eng := diffEngine(t, exec.PolicyFIFO)
+	defer eng.Close()
+	locEng := diffEngine(t, exec.PolicyLocality)
 	defer locEng.Close()
-	cpEng := exec.NewEngine(4, exec.WithPolicy(exec.PolicyCriticalPath))
+	cpEng := diffEngine(t, exec.PolicyCriticalPath)
 	defer cpEng.Close()
-	rlxEng := exec.NewRelaxedEngine(4)
+	rlxEng := diffEngine(t, exec.PolicyRelaxed)
 	defer rlxEng.Close()
 	runtimes := []struct {
 		name string
@@ -240,15 +265,8 @@ func TestRuntimesBitIdentical(t *testing.T) {
 		{"elision", false, exec.RunElision},
 		{"random-topo", false, func(g *core.Graph) error { return exec.RunRandomTopo(g, 99) }},
 		{"reverse-greedy", false, exec.RunReverseGreedy},
-		{"mutex-4", false, func(g *core.Graph) error { return exec.RunParallelMutex(g, 4) }},
 		{"lockfree-4", false, func(g *core.Graph) error { return exec.RunParallel(g, 4) }},
-		{"engine", false, func(g *core.Graph) error {
-			r, err := eng.Submit(g)
-			if err != nil {
-				return err
-			}
-			return r.Wait()
-		}},
+		{"engine", false, submitTo(eng)},
 		// The online runtime: the same strand closures driven through
 		// Spawn/SpawnAfter/Future gating (dyn.Replay), with the DAG
 		// revealed to the scheduler one task at a time. Shares the
@@ -257,14 +275,8 @@ func TestRuntimesBitIdentical(t *testing.T) {
 		// The locality-aware engine: anchored strands detour through
 		// cache-domain mailboxes and victim selection walks nearest-first,
 		// but the schedule must still be a legal execution of the DAG.
-		{"locality-4", false, func(g *core.Graph) error {
-			r, err := locEng.Submit(g)
-			if err != nil {
-				return err
-			}
-			return r.Wait()
-		}},
-		// The adaptive-replay JIT (ninth runtime): the same dynamic
+		{"locality-4", false, submitTo(locEng)},
+		// The adaptive-replay JIT: the same dynamic
 		// program run until its shape compiles, then once more through
 		// the compiled engine. Restricted to idempotent cases because the
 		// ladder re-executes one instance (observe ×2, record, replay).
@@ -282,27 +294,15 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			}
 			return nil
 		}},
-		// The critical-path-first policy (tenth runtime): fan-outs and
-		// the injector order deepest-first by compile-time depth-to-sink.
-		// Order changes, outputs must not.
-		{"engine-critpath", false, func(g *core.Graph) error {
-			r, err := cpEng.Submit(g)
-			if err != nil {
-				return err
-			}
-			return r.Wait()
-		}},
-		// The relaxed MultiQueue engine (eleventh runtime): the ready
-		// structure is approximate-priority per-worker queue pairs with
+		// The critical-path-first policy: fan-outs and the injector
+		// order deepest-first by compile-time depth-to-sink. Order
+		// changes, outputs must not.
+		{"engine-critpath", false, submitTo(cpEng)},
+		// The relaxed MultiQueue engine: the ready structure is
+		// approximate-priority per-worker queue pairs with
 		// pick-2-random stealing; the wake graph still gates readiness,
 		// so the schedule remains a legal execution of the DAG.
-		{"engine-relaxed", false, func(g *core.Graph) error {
-			r, err := rlxEng.Submit(g)
-			if err != nil {
-				return err
-			}
-			return r.Wait()
-		}},
+		{"engine-relaxed", false, submitTo(rlxEng)},
 	}
 	for _, c := range diffCases() {
 		for _, model := range c.models {
@@ -328,10 +328,10 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			})
 		}
 	}
-	// The locality spec is only a meaningful eighth runtime if its
-	// anchoring machinery actually engaged on these inputs.
-	if s := locEng.Topology().Stats(); s.Claims == 0 {
-		t.Errorf("locality engine never claimed an anchor across the differential suite: %+v", s)
+	// The locality spec is only a meaningful runtime if its anchoring
+	// machinery actually engaged on these inputs.
+	if locEng.Metrics().Snapshot().Get(telemetry.MClaims) == 0 {
+		t.Error("locality engine never claimed an anchor across the differential suite")
 	}
 }
 

@@ -144,6 +144,5 @@ func (t *ConcurrentTracker) Executed() int64 { return t.executed.Load() }
 func (t *ConcurrentTracker) Done() bool { return t.executed.Load() == int64(t.wg.numStrands) }
 
 // Quiescent reports whether no strand is ready or running. Together with
-// !Done it distinguishes a finished run from a stalled DAG; workers use it
-// as their exit condition.
+// !Done it distinguishes a finished run from a stalled DAG.
 func (t *ConcurrentTracker) Quiescent() bool { return t.pending.Load() == 0 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/exec"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // TestProgramDivergenceRecoveryResetsCounter pins the consecutive-runs
@@ -182,7 +183,7 @@ func TestProgramReplayDuringEviction(t *testing.T) {
 	if st.Hits != hitsBefore+replays {
 		t.Fatalf("hits = %d, want %d: replays fell back live during churn (%+v)", st.Hits, hitsBefore+replays, st)
 	}
-	if cs := e.CacheStats(); cs.Evictions == 0 {
-		t.Fatalf("churn never evicted (cap 1): %+v", cs)
+	if e.Metrics().Snapshot().Get(telemetry.MEvictions) == 0 {
+		t.Fatal("churn never evicted (cap 1)")
 	}
 }

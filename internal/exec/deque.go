@@ -8,8 +8,7 @@ import "sync/atomic"
 // a single compare-and-swap on the top index; the common owner path is two
 // atomic loads and a store.
 //
-// Elements are int64 so one deque can carry either bare strand IDs
-// (RunParallel) or the engine's packed (run slot, strand) task words.
+// Elements are the engine's packed (run slot, strand) task words.
 //
 // The element array is accessed through atomic cells because a thief reads
 // its candidate slot before winning the CAS; the CAS ensures a torn claim
@@ -104,4 +103,44 @@ func (d *wsDeque) steal() (v int64, ok, retry bool) {
 		return 0, false, true
 	}
 	return v, true, false
+}
+
+// stealFrom probes random victims, then sweeps deterministically so no
+// available task is ever missed. rng is a worker-local xorshift state.
+// On success the victim's index is returned alongside the task, for the
+// tracer's steal flow arrows.
+func stealFrom(deques []*wsDeque, self int, rng *uint64) (int64, int, bool) {
+	n := len(deques)
+	if n == 1 {
+		return 0, 0, false
+	}
+	for attempt := 0; attempt < 2*n; attempt++ {
+		*rng ^= *rng << 13
+		*rng ^= *rng >> 7
+		*rng ^= *rng << 17
+		victim := int(*rng % uint64(n))
+		if victim == self {
+			continue
+		}
+		if v, ok, retry := deques[victim].steal(); ok {
+			return v, victim, true
+		} else if retry {
+			attempt--
+		}
+	}
+	for victim := 0; victim < n; victim++ {
+		if victim == self {
+			continue
+		}
+		for {
+			v, ok, retry := deques[victim].steal()
+			if ok {
+				return v, victim, true
+			}
+			if !retry {
+				break
+			}
+		}
+	}
+	return 0, 0, false
 }

@@ -105,10 +105,12 @@ type Worker struct {
 	// engine's spare pool; it carries the donated slot (or -1 at engine
 	// shutdown). Allocated on first retirement and reused.
 	spare chan int
+	// rng is the goroutine's xorshift state for victim selection.
+	rng uint64
 }
 
 func newWorker(e *Engine, self int) *Worker {
-	return &Worker{e: e, self: self, deferred: -1}
+	return &Worker{e: e, self: self, deferred: -1, rng: uint64(self)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 }
 
 // Engine returns the engine this worker belongs to.
@@ -124,9 +126,7 @@ func (w *Worker) Self() int { return w.self }
 // immediately stealable for the whole remainder of the body.
 func (w *Worker) Push(word int64) {
 	w.e.deques[w.self].push(word)
-	if w.e.nSleep.Load() > 0 {
-		w.e.wake(1)
-	}
+	w.e.wakeFor(1)
 }
 
 // PushChained publishes a task word from a completion or wake context:
@@ -158,9 +158,7 @@ func (w *Worker) flushDeferred() {
 	if w.deferred >= 0 {
 		w.e.deques[w.self].push(w.deferred)
 		w.deferred = -1
-		if w.e.nSleep.Load() > 0 {
-			w.e.wake(1)
-		}
+		w.e.wakeFor(1)
 	}
 }
 

@@ -38,10 +38,20 @@ const (
 	// fan-out and nothing on the steal path.
 	PolicyCriticalPath
 	// PolicyRelaxed replaces the deque discipline for compiled strands
-	// with per-worker MultiQueue pairs (see relaxed.go): priority order
-	// is approximate, but pops are contention-free with high
-	// probability. Constructed via NewRelaxedEngine.
+	// with per-worker MultiQueue pairs (2 priority queues per worker,
+	// pick-2-random steals, pop-deeper-of-two-heads; see relaxed.go)
+	// keyed by depth-to-sink. Priority order is approximate — within
+	// O(P·log P) rank inversions with high probability — in exchange for
+	// contention-free pops under heavy load.
 	PolicyRelaxed
+	// PolicyLocality groups the workers into cache domains by a machine
+	// spec (pmh.DefaultSpec at the worker count, or the caller's through
+	// WithTopology): victim selection walks nearest-first — same domain,
+	// then sibling domains, then the whole pool — and tasks whose
+	// compiled footprint σ-fits a domain's cache are anchored there, the
+	// online analogue of the simulator's space-bounded anchoring rule
+	// (see topology.go). Unanchored strands keep the FIFO discipline.
+	PolicyLocality
 )
 
 // String names the policy as it appears in pprof labels and tooling
@@ -52,6 +62,8 @@ func (p Policy) String() string {
 		return "critpath"
 	case PolicyRelaxed:
 		return "relaxed"
+	case PolicyLocality:
+		return "locality"
 	default:
 		return "fifo"
 	}
@@ -61,16 +73,26 @@ func (p Policy) String() string {
 type Option func(*engineConfig)
 
 type engineConfig struct {
-	policy    Policy
-	faultFn   func(strand int32) Fault
-	unguarded bool
-	tracer    *telemetry.Tracer
+	policy  Policy
+	topo    *Topology // caller-built topology; only under PolicyLocality
+	faultFn func(strand int32) Fault
+	tracer  *telemetry.Tracer
 }
 
-// WithPolicy selects the scheduling policy. PolicyRelaxed is equivalent
-// to NewRelaxedEngine.
+// WithPolicy selects the scheduling policy (PolicyLocality on the default
+// machine spec for the worker count). Of WithPolicy and WithTopology the
+// last option given wins.
 func WithPolicy(p Policy) Option {
-	return func(c *engineConfig) { c.policy = p }
+	return func(c *engineConfig) { c.policy, c.topo = p, nil }
+}
+
+// WithTopology selects PolicyLocality on a topology the caller built
+// (and so validated) with NewTopology — an explicit machine spec and σ.
+// The engine takes the topology's worker count when its own is ≤ 0; an
+// explicit worker count that disagrees with it is a programming error
+// and panics. A topology serves one engine.
+func WithTopology(t *Topology) Option {
+	return func(c *engineConfig) { c.policy, c.topo = PolicyLocality, t }
 }
 
 // Fault is a fault-injection decision returned by a WithFaultInjector
@@ -102,14 +124,6 @@ func WithFaultInjector(fn func(strand int32) Fault) Option {
 	return func(c *engineConfig) { c.faultFn = fn }
 }
 
-// WithUnguardedBodies disables the per-strand panic recover wrapper, so
-// a panicking body wedges the run as pre-failure-model engines did. It
-// exists only to measure the wrapper's overhead in paired benchmarks;
-// production engines must not use it.
-func WithUnguardedBodies() Option {
-	return func(c *engineConfig) { c.unguarded = true }
-}
-
 // Instance is the reusable per-graph run state: one ConcurrentTracker over
 // a compiled ExecGraph's strand-level wake graph. Because the tracker
 // rewinds by generation stamp (core.ConcurrentTracker.Reset), the same
@@ -121,16 +135,18 @@ func WithUnguardedBodies() Option {
 type Instance struct {
 	eg *core.ExecGraph
 	ct *core.ConcurrentTracker
-	// loc is the run's anchoring state on a locality-aware engine (nil on
-	// flat engines and for graphs whose plan anchors nothing). Attached by
-	// the engine at submission, rewound together with the tracker; locTopo
-	// remembers which topology it was derived for, so graphs with empty
-	// plans are not re-planned on every submission and caller-owned
-	// instances migrating between engines are re-bound.
+	// loc is the run's anchoring state under PolicyLocality (nil for
+	// graphs whose plan anchors nothing, and until a locality engine first
+	// sees the instance). Attached at submission, rewound together with
+	// the tracker; locTopo remembers which topology it was derived for, so
+	// graphs with empty plans are not re-planned on every submission and
+	// caller-owned instances migrating between locality engines are
+	// re-bound. Carried onto another policy's engine it is inert: nothing
+	// claims there, so its completions release nothing.
 	loc     *locState
 	locTopo *Topology
 	// prio is the compiled graph's depth-to-sink table, attached at
-	// submission on priority-aware policies (nil under PolicyFIFO).
+	// submission by the priority-aware policies.
 	prio []int64
 }
 
@@ -312,18 +328,6 @@ type progEntry struct {
 	use  uint64 // last-touch tick for eviction, under the engine mutex
 }
 
-// CacheStats is a snapshot of the engine's compile-cache counters: the
-// program cache (per *core.Program rewrite+compile results) and the
-// instance pools (per-ExecGraph run state). Misses are allocations or
-// compilations; evictions count entries dropped by the cache bound.
-type CacheStats struct {
-	ProgramHits    uint64
-	ProgramMisses  uint64
-	InstanceHits   uint64
-	InstanceMisses uint64
-	Evictions      uint64
-}
-
 // defaultCacheCap bounds each of the engine's two compile caches (program
 // entries, instance pools) in a long-lived serving process. Generous for
 // any benchmark or test workload; SetCacheCap tunes it.
@@ -354,7 +358,8 @@ type Engine struct {
 	// finds nothing (see acquire), so a publication between sweep and
 	// park is never lost.
 	epoch    uint64
-	sleepers int          // parked workers, under mu
+	sleepers int          // workers announced idle (parked or rechecking), under mu
+	waiting  int          // workers inside cond.Wait, under mu
 	nSleep   atomic.Int32 // mirror of sleepers for lock-free hot-path checks
 	closed   bool
 	active   int // in-flight runs, under mu
@@ -379,28 +384,22 @@ type Engine struct {
 	cacheTick uint64
 	cacheCap  int
 
-	// topo is the locality-aware steal topology, nil on flat engines. When
-	// set, victim selection walks domains nearest-first, anchored strands
-	// route through per-domain mailboxes, and submissions attach anchoring
-	// state to their instances (see topology.go).
-	topo *Topology
-
-	// policy is the scheduling discipline; mq is the relaxed MultiQueue
-	// ready structure, non-nil iff policy == PolicyRelaxed.
+	// policy names the scheduling discipline and rs is the ready
+	// structure that implements it, chosen once at construction (see
+	// sched.go); topo is the steal topology rs routes by under
+	// PolicyLocality, nil otherwise. Only the accessors read policy and
+	// topo — submit, the worker loop and acquire go through rs.
 	policy Policy
-	mq     *multiQueue
+	topo   *Topology
+	rs     readyQueue
 
 	// met holds the engine's sharded counter handles (one telemetry
 	// registry per engine); tracer is the per-run strand tracer, nil
-	// unless armed with WithTracing. Both sit with the other
-	// per-dispatch-read fields (guard, faultFn) so the hot loop's nil
-	// check hits a warm line.
-	met    *metricsSet
-	tracer *telemetry.Tracer
-
-	// guard selects the per-strand recover wrapper (on unless
-	// WithUnguardedBodies); faultFn is the chaos hook, nil in production.
-	guard   bool
+	// unless armed with WithTracing; faultFn is the chaos hook, nil in
+	// production. They sit together so the hot loop's per-dispatch nil
+	// checks hit one warm line.
+	met     *metricsSet
+	tracer  *telemetry.Tracer
 	faultFn func(strand int32) Fault
 	// resolvers counts registered external future resolvers
 	// (RegisterResolver). While it is nonzero the quiescence watchdog
@@ -412,78 +411,29 @@ type Engine struct {
 
 // NewEngine starts an engine with the given worker count (GOMAXPROCS when
 // workers ≤ 0). The workers live until Close. Options select the
-// scheduling policy; the default is PolicyFIFO.
+// scheduling policy (default PolicyFIFO) and arm tracing or fault
+// injection; every option composes with every policy.
 func NewEngine(workers int, opts ...Option) *Engine {
 	var cfg engineConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return newEngine(workers, nil, cfg)
-}
-
-// NewRelaxedEngine starts an engine whose compiled-strand ready
-// structure is a relaxed MultiQueue (2 priority queues per worker,
-// pick-2-random steals, pop-deeper-of-two-heads; see relaxed.go)
-// keyed by depth-to-sink. Priority order is approximate — within
-// O(P·log P) rank inversions with high probability — in exchange for
-// contention-free pops under heavy load. Shorthand for
-// NewEngine(workers, WithPolicy(PolicyRelaxed)).
-func NewRelaxedEngine(workers int) *Engine {
-	return newEngine(workers, nil, engineConfig{policy: PolicyRelaxed})
-}
-
-// NewLocalityEngine starts an engine whose workers are grouped into cache
-// domains by the given machine spec (pmh.DefaultSpec for the zero value):
-// victim selection walks nearest-first — same domain, then sibling
-// domains, then the whole pool — and tasks whose compiled footprint
-// σ-fits a domain's cache are anchored there, the online analogue of the
-// simulator's space-bounded anchoring rule (see topology.go). Workers ≤ 0
-// means GOMAXPROCS; the spec's processor count must match the worker
-// count. Sigma outside (0,1) defaults to the paper's 1/3.
-func NewLocalityEngine(workers int, spec pmh.Spec, sigma float64) (*Engine, error) {
+	if t := cfg.topo; t != nil {
+		if workers > 0 && workers != t.Workers() {
+			panic(fmt.Sprintf("exec: NewEngine(%d workers) given a topology built for %d", workers, t.Workers()))
+		}
+		workers = t.Workers()
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	topo, err := NewTopology(spec, workers, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return newEngine(workers, topo, engineConfig{}), nil
-}
-
-// Topology returns the engine's steal topology, nil for flat engines.
-func (e *Engine) Topology() *Topology { return e.topo }
-
-// Policy returns the engine's scheduling policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
-// SchedStats is a snapshot of the engine's cross-worker scheduling
-// counters.
-type SchedStats struct {
-	// Steals counts victim-queue takes through the work-stealing
-	// protocol: deque steals and, on locality engines, far mailbox
-	// polls. A relaxed engine's compiled strands never travel on
-	// deques, so its Steals meters only the dyn-task fallback path.
-	Steals uint64
-	// CrossPops counts relaxed-MultiQueue pops from outside the
-	// popping worker's own queue pair — the relaxed engine's
-	// cross-worker transfers. The MultiQueue is a shared structure
-	// with no owner, so these are cheap uncontended-lock pops rather
-	// than Chase–Lev protocol steals; they are metered separately so
-	// the two kinds of traffic stay comparable across policies.
-	CrossPops uint64
-}
-
-// SchedStats returns a snapshot of the scheduling counters, read from
-// the telemetry registry (Metrics is the full view). Cumulative over
-// the engine's lifetime; diff two snapshots to meter a run.
-func (e *Engine) SchedStats() SchedStats {
-	return SchedStats{Steals: e.met.steals.Value(), CrossPops: e.met.crossPops.Value()}
-}
-
-func newEngine(workers int, topo *Topology, cfg engineConfig) *Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.policy == PolicyLocality && cfg.topo == nil {
+		t, err := NewTopology(pmh.Spec{}, workers, 0)
+		if err != nil {
+			// pmh.DefaultSpec validates for every worker count.
+			panic(err)
+		}
+		cfg.topo = t
 	}
 	e := &Engine{
 		workers:  workers,
@@ -491,9 +441,8 @@ func newEngine(workers int, topo *Topology, cfg engineConfig) *Engine {
 		progs:    make(map[*core.Program]*progEntry),
 		pools:    make(map[*core.ExecGraph]*instPool),
 		cacheCap: defaultCacheCap,
-		topo:     topo,
 		policy:   cfg.policy,
-		guard:    !cfg.unguarded,
+		topo:     cfg.topo,
 		faultFn:  cfg.faultFn,
 		met:      newMetricsSet(workers),
 		tracer:   cfg.tracer,
@@ -502,16 +451,7 @@ func newEngine(workers int, topo *Topology, cfg engineConfig) *Engine {
 		// Size the per-worker lanes before any worker can record.
 		e.tracer.Bind(workers)
 	}
-	if topo != nil {
-		// Adopt the topology: its policy counters re-home onto the
-		// engine's registry (one source of truth) and anchor trace
-		// events ride the engine's tracer.
-		topo.met = e.met
-		topo.eng = e
-	}
-	if cfg.policy == PolicyRelaxed {
-		e.mq = newMultiQueue(workers)
-	}
+	e.rs = newReadyQueue(e)
 	e.cond = sync.NewCond(&e.mu)
 	for i := range e.deques {
 		e.deques[i] = newWSDeque(256)
@@ -524,6 +464,13 @@ func newEngine(workers int, topo *Topology, cfg engineConfig) *Engine {
 	}
 	return e
 }
+
+// Topology returns the engine's steal topology: non-nil exactly under
+// PolicyLocality.
+func (e *Engine) Topology() *Topology { return e.topo }
+
+// Policy returns the engine's scheduling policy.
+func (e *Engine) Policy() Policy { return e.policy }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -579,24 +526,12 @@ func (e *Engine) submit(eg *core.ExecGraph, owned *Instance) (*Run, error) {
 			e.met.instMisses.IncShared()
 		}
 	}
-	if e.topo != nil && inst.locTopo != e.topo {
-		// Attach anchoring state on first contact with this topology
-		// (newState returns nil when the plan anchors nothing; pooled
-		// instances keep theirs, a caller-owned instance migrating between
-		// engines is re-bound). One pointer compare in the steady state.
-		inst.loc = e.topo.newState(eg)
-		inst.locTopo = e.topo
-	}
-	if e.policy != PolicyFIFO && inst.prio == nil {
-		inst.prio = eg.StrandDepths()
-	}
 	r := e.getRunLocked()
 	r.inst, r.pool, r.err, r.dyn = inst, pool, nil, nil
 	r.failv.Store(nil)
 	r.rescued = false
 
-	initial := inst.ct.InitialReady()
-	if len(initial) == 0 {
+	if len(inst.ct.InitialReady()) == 0 {
 		// Empty program (or, impossibly post-compile, a deadlocked one):
 		// the run is already over.
 		if eg.NumStrands() > 0 {
@@ -612,24 +547,7 @@ func (e *Engine) submit(eg *core.ExecGraph, owned *Instance) (*Run, error) {
 		tr.RunStarted()
 		tr.Record(-1, telemetry.EvRunStart, slot, -1, int64(eg.NumStrands()))
 	}
-	switch {
-	case e.mq != nil:
-		// Relaxed engine: spread the seed entries round-robin over every
-		// queue so the initial wave starts contention-free.
-		for _, id := range initial {
-			e.mq.pushAny(inst.prio[id], packTask(slot, id))
-		}
-	case e.policy == PolicyCriticalPath:
-		// Deepest strands enter the injector first, so the long chains
-		// are the first ones idle workers pick up.
-		for _, id := range eg.PrioInitialReady() {
-			e.inject = append(e.inject, packTask(slot, id))
-		}
-	default:
-		for _, id := range initial {
-			e.inject = append(e.inject, packTask(slot, id))
-		}
-	}
+	e.rs.seed(inst, slot)
 	e.active++
 	e.epoch++
 	if e.sleepers > 0 {
@@ -701,18 +619,6 @@ func (e *Engine) evictProgsLocked() {
 		}
 		delete(e.progs, victim)
 		e.met.evictions.IncShared()
-	}
-}
-
-// CacheStats returns a snapshot of the compile-cache counters, read
-// from the telemetry registry (Metrics is the full view).
-func (e *Engine) CacheStats() CacheStats {
-	return CacheStats{
-		ProgramHits:    e.met.progHits.Value(),
-		ProgramMisses:  e.met.progMisses.Value(),
-		InstanceHits:   e.met.instHits.Value(),
-		InstanceMisses: e.met.instMisses.Value(),
-		Evictions:      e.met.evictions.Value(),
 	}
 }
 
@@ -905,71 +811,31 @@ func (e *Engine) takeInjectLocked(self int) (int64, bool) {
 }
 
 // acquire finds work for an idle worker: the submission queue first, then
-// a steal sweep, then parking. Returns false when the engine is closed
-// and fully drained.
+// the ready structure's sweep, then parking. Returns false when the
+// engine is closed and fully drained.
 //
-// On a locality-aware engine the sweep is hierarchical: the worker's own
-// domain mailboxes (lowest level first), then a nearest-first steal walk,
-// then every other domain's mailbox — anchored work is preferred by its
-// domain but never strands while anyone is idle. Both the first sweep and
-// the post-announcement recheck run the full hierarchy, so the parking
-// protocol's guarantee (a publication between sweep and park is never
-// lost) covers mailbox publications too.
+// Both the first sweep and the post-announcement recheck are exhaustive
+// over everything the ready structure holds (the seam's contract, see
+// sched.go), so the parking protocol's guarantee — a publication between
+// sweep and park is never lost — covers every policy's structures.
 //
 //ndlint:allowblock parking slow path: the engine mutex serializes the sleeper ladder and cond.Wait is the park itself; the Dekker announce-then-recheck above every park keeps the blocking sound
-func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bool) {
-	sweep := func() (int64, bool) {
-		if e.topo != nil {
-			var t int64
-			var ok bool
-			if t, buf, ok = e.pollMail(self, true, buf); ok {
-				return t, true
-			}
-			var victim int
-			if t, victim, ok = e.topo.stealNear(e.deques, self, rng); ok {
-				e.met.steals.Inc(self)
-				e.traceSteal(self, t, victim)
-				return t, true
-			}
-			if t, buf, ok = e.pollMail(self, false, buf); ok {
-				e.met.steals.Inc(self)
-				e.traceSteal(self, t, -1)
-				return t, true
-			}
-			return 0, false
-		}
-		if e.mq != nil {
-			if t, from, ok := e.mq.sweep(self, rng); ok {
-				if from/2 != self {
-					e.met.crossPops.Inc(self)
-					e.traceSteal(self, t, -1)
-				}
-				return t, true
-			}
-			// Dynamic task words still travel on the deques even under the
-			// relaxed policy; fall through to a deque sweep for those.
-		}
-		if t, victim, ok := stealFrom(e.deques, self, rng); ok {
-			e.met.steals.Inc(self)
-			e.traceSteal(self, t, victim)
-			return t, true
-		}
-		return 0, false
-	}
+func (e *Engine) acquire(w *Worker) (int64, bool) {
+	self := w.self
 	for {
 		e.mu.Lock()
 		if t, ok := e.takeInjectLocked(self); ok {
 			e.mu.Unlock()
-			return t, buf, true
+			return t, true
 		}
 		if e.closed && e.active == 0 {
 			e.mu.Unlock()
-			return 0, buf, false
+			return 0, false
 		}
 		ep := e.epoch
 		e.mu.Unlock()
-		if t, ok := sweep(); ok {
-			return t, buf, true
+		if t, ok := e.rs.sweep(w); ok {
+			return t, true
 		}
 		e.mu.Lock()
 		if e.epoch == ep {
@@ -983,12 +849,12 @@ func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bo
 			// atomics forbid missing both). Without it, a push landing
 			// between the first sweep and the count increment would strand
 			// us parked while tasks sit in an active worker's deque.
-			if t, ok := sweep(); ok {
+			if t, ok := e.rs.sweep(w); ok {
 				e.mu.Lock()
 				e.sleepers--
 				e.nSleep.Store(int32(e.sleepers))
 				e.mu.Unlock()
-				return t, buf, true
+				return t, true
 			}
 			e.mu.Lock()
 			if e.epoch == ep {
@@ -1008,7 +874,9 @@ func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bo
 					if tr := e.tracer; tr != nil {
 						tr.Record(self, telemetry.EvPark, -1, -1, 0)
 					}
+					e.waiting++
 					e.cond.Wait()
+					e.waiting--
 					if tr := e.tracer; tr != nil {
 						tr.Record(self, telemetry.EvUnpark, -1, -1, 0)
 					}
@@ -1022,19 +890,21 @@ func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bo
 }
 
 // stalledRunsLocked is the quiescence watchdog's detection step, called
-// under the engine mutex at the final park edge (the calling worker is
-// already counted in sleepers). The pool is quiescent iff every worker
-// is a sleeper, the injector is drained, and the epoch is unchanged —
-// then no unconsumed published work exists anywhere (deques, MultiQueue,
-// mailboxes are all swept before parking; deferred and pend words are
-// only held by running workers), so an active run's remaining strands
-// can only be parked behind unresolved futures. Such runs are stalled:
+// under the engine mutex at the final park edge. The pool is quiescent
+// iff every other worker is inside cond.Wait, the injector is drained,
+// and the epoch is unchanged — then no unconsumed published work exists
+// anywhere (every ready structure is swept before parking; deferred and
+// pend words are only held by running workers), so an active run's
+// remaining strands can only be parked behind unresolved futures. The
+// sleeper count is not the test: a sleeper whose recheck sweep just
+// found a task still counts until it retakes the mutex, and a verdict
+// then would fail a run that worker is about to advance. Such runs are stalled:
 // they will never finish unless an external resolver feeds them. When a
 // resolver is registered, healthy runs get the benefit of the doubt and
 // only already-failed (cancelled/panicked) runs are selected; each run
 // is selected at most once per submission (rescued flag).
 func (e *Engine) stalledRunsLocked() []*Run {
-	if e.sleepers != e.workers || e.active == 0 || len(e.inject) != e.injectHead {
+	if e.waiting != e.workers-1 || e.active == 0 || len(e.inject) != e.injectHead {
 		return nil
 	}
 	ext := e.resolvers.Load() > 0
@@ -1138,13 +1008,16 @@ func (e *Engine) worker(self int) {
 }
 
 // workerLabels is the pprof label set for a worker (or replacement)
-// goroutine: its slot at spawn and the engine's scheduling flavor.
+// goroutine: its slot at spawn and the engine's scheduling policy.
 func (e *Engine) workerLabels(self int) pprof.LabelSet {
-	policy := e.policy.String()
-	if e.topo != nil {
-		policy = "locality"
-	}
-	return pprof.Labels("worker", strconv.Itoa(self), "policy", policy)
+	return pprof.Labels("worker", strconv.Itoa(self), "policy", e.policy.String())
+}
+
+// noteSteal meters a take through the work-stealing protocol (a deque
+// steal or a far mailbox poll) and traces it.
+func (e *Engine) noteSteal(self int, t int64, victim int) {
+	e.met.steals.Inc(self)
+	e.traceSteal(self, t, victim)
 }
 
 // traceSteal records a steal event carrying the stolen task's identity,
@@ -1201,27 +1074,25 @@ func (e *Engine) applyFault(r *Run, id int32) {
 //
 // The loop is the engine's innermost hot path: ndlint walks every
 // function statically reachable from here and rejects blocking
-// operations that lack an //ndlint:allowblock justification.
+// operations that lack an //ndlint:allowblock justification. The walk
+// does not see through the e.rs interface calls, so each ready
+// structure's local/publish/sweep is annotated as a root of its own.
 //
 //ndlint:hotpath
 func (e *Engine) workerLoop(w *Worker) {
-	rng := uint64(w.self)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	ready := make([]int32, 0, 64)
 	scratch := make([]int32, 0, 64)
-	var mailBuf []int64 // mailbox scratch, used on locality-aware engines
 	next := int64(-1)
 	for {
-		d := e.deques[w.self]
 		t := next
 		next = -1
 		if t < 0 {
 			var ok bool
-			if t, ok = d.pop(); !ok && e.mq != nil {
-				t, ok = e.mq.popOwn(w.self)
-			}
-			if !ok {
-				if t, mailBuf, ok = e.acquire(w.self, &rng, mailBuf); !ok {
-					return
+			if t, ok = e.deques[w.self].pop(); !ok {
+				if t, ok = e.rs.local(w.self); !ok {
+					if t, ok = e.acquire(w); !ok {
+						return
+					}
 				}
 			}
 		}
@@ -1256,115 +1127,30 @@ func (e *Engine) workerLoop(w *Worker) {
 			tr.Record(w.self, telemetry.EvDispatch, slot, id, 0)
 		}
 		if leaf := inst.eg.Strand(id); leaf.Run != nil {
-			if e.guard {
-				e.runLeaf(r, id, leaf.Label, leaf.Run)
-			} else {
-				leaf.Run()
-			}
+			e.runLeaf(r, id, leaf.Label, leaf.Run)
 		}
 		if tr := e.tracer; tr != nil {
-			// Before Complete: the completion edge is what elects the
+			// Before the completion: that edge is what elects the
 			// finishing worker, so recording first guarantees this event
 			// is visible to the finisher's trace stitch.
 			tr.Record(w.self, telemetry.EvComplete, slot, id, 0)
 		}
+		if inst.loc != nil {
+			// Anchor accounting, like the trace record, precedes the
+			// tracker completion: a σ-budget release ordered after it
+			// could land after Wait had already rewound the anchoring
+			// state. (Per-instance state, not a policy test: written
+			// out here because a wrapper around Complete does not
+			// inline and costs ~1% on the nil-body replay.)
+			inst.loc.complete(id)
+		}
 		var finished bool
 		ready, scratch, finished = inst.ct.Complete(id, ready[:0], scratch)
-		if lp := inst.loc; lp != nil && lp.topo == e.topo {
-			// Locality-aware engine: account the completion against the
-			// strand's anchor task and route the enabled strands — home
-			// (or flat) ones chain/push locally, strands anchored to
-			// another domain go to its mailbox.
-			lp.complete(id)
-			next = e.routeReady(w, d, lp, slot, id, ready)
-		} else if n := len(ready); n > 0 {
-			switch {
-			case e.mq != nil:
-				next = e.fanOutRelaxed(w.self, slot, ready, inst.prio)
-			case e.policy == PolicyCriticalPath:
-				next = e.fanOutPrio(d, slot, ready, inst.prio)
-			default:
-				// Keep one enabled strand as the next local task; the rest
-				// go on the deque for thieves (waking one if any are
-				// parked).
-				next = packTask(slot, ready[n-1])
-				for _, rid := range ready[:n-1] {
-					d.push(packTask(slot, rid))
-				}
-			}
-			if n > 1 && e.nSleep.Load() > 0 {
-				e.wake(n - 1)
-			}
-		}
+		// The ready structure keeps one enabled strand as this worker's
+		// next task and publishes the rest (waking sleepers for them).
+		next = e.rs.publish(w, inst, slot, id, ready)
 		if finished {
 			e.finish(r)
 		}
-	}
-}
-
-// fanOutPrio publishes a fan-out under PolicyCriticalPath: the ready
-// list is sorted by descending depth-to-sink, the deepest strand is
-// chained as the worker's next task, and the surplus goes on the deque
-// deepest-first — thieves take from the top (oldest), so the deepest
-// surplus strand is the first one stolen, while the owner unwinds its
-// own shallow end last.
-func (e *Engine) fanOutPrio(d *wsDeque, slot int32, ready []int32, prio []int64) int64 {
-	// An all-tied fan-out carries no priority signal (symmetric wakes —
-	// the common case in uniform recurrences like FW), so devolve to
-	// the FIFO fan-out: chain the last-enabled strand, whose wake
-	// counter is still cache-hot, and push the rest in wake order.
-	n := len(ready)
-	d0 := prio[ready[0]]
-	tied := true
-	for i := 1; i < n; i++ {
-		if prio[ready[i]] != d0 {
-			tied = false
-			break
-		}
-	}
-	if tied {
-		for _, rid := range ready[:n-1] {
-			d.push(packTask(slot, rid))
-		}
-		return packTask(slot, ready[n-1])
-	}
-	sortByDepth(ready, prio)
-	for _, rid := range ready[1:] {
-		d.push(packTask(slot, rid))
-	}
-	return packTask(slot, ready[0])
-}
-
-// fanOutRelaxed publishes a fan-out on the relaxed engine: the deepest
-// strand is chained, the surplus lands in the worker's own MultiQueue
-// pair (less-loaded queue of the two).
-func (e *Engine) fanOutRelaxed(self int, slot int32, ready []int32, prio []int64) int64 {
-	best := 0
-	for i := 1; i < len(ready); i++ {
-		if prio[ready[i]] > prio[ready[best]] {
-			best = i
-		}
-	}
-	next := ready[best]
-	ready[best] = ready[len(ready)-1]
-	for _, rid := range ready[:len(ready)-1] {
-		e.mq.pushLocal(self, prio[rid], packTask(slot, rid))
-	}
-	return packTask(slot, next)
-}
-
-// sortByDepth sorts ready by descending prio, stably, by insertion —
-// fan-outs are a handful of strands, so this beats sort.Slice's
-// interface overhead on the hot path.
-func sortByDepth(ready []int32, prio []int64) {
-	for i := 1; i < len(ready); i++ {
-		id := ready[i]
-		d := prio[id]
-		j := i - 1
-		for j >= 0 && prio[ready[j]] < d {
-			ready[j+1] = ready[j]
-			j--
-		}
-		ready[j+1] = id
 	}
 }

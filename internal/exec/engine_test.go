@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // engineGraph builds a random rewritten program with instrumented strand
@@ -268,11 +269,11 @@ func TestPackTask(t *testing.T) {
 	}
 }
 
-// TestEngineCacheStatsAndEviction covers the bounded compile caches: hit
+// TestEngineCacheCountersAndEviction covers the bounded compile caches: hit
 // and miss accounting on both maps, LRU-ish eviction under a small cap,
 // and the safety of evicting an instance pool while its graph is still
 // in flight (the run holds its own pool pointer).
-func TestEngineCacheStatsAndEviction(t *testing.T) {
+func TestEngineCacheCountersAndEviction(t *testing.T) {
 	e := NewEngine(2)
 	defer e.Close()
 
@@ -307,12 +308,13 @@ func TestEngineCacheStatsAndEviction(t *testing.T) {
 	for _, g := range graphs {
 		run(g)
 	}
-	st := e.CacheStats()
-	if st.InstanceMisses != uint64(len(graphs)) || st.InstanceHits != uint64(len(graphs)) {
-		t.Fatalf("instance accounting: %+v, want %d misses then %d hits", st, len(graphs), len(graphs))
+	n := uint64(len(graphs))
+	st := e.Metrics().Snapshot()
+	if st.Get(telemetry.MInstMisses) != n || st.Get(telemetry.MInstHits) != n {
+		t.Fatalf("instance accounting: %v, want %d misses then %d hits", st.Values, n, n)
 	}
-	if st.Evictions != 0 {
-		t.Fatalf("evictions under default cap: %+v", st)
+	if st.Get(telemetry.MEvictions) != 0 {
+		t.Fatalf("evictions under default cap: %v", st.Values)
 	}
 
 	// Program cache: one miss, then hits.
@@ -326,17 +328,17 @@ func TestEngineCacheStatsAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = e.CacheStats()
-	if st.ProgramMisses != 1 || st.ProgramHits != 2 {
-		t.Fatalf("program accounting: %+v, want 1 miss / 2 hits", st)
+	st = e.Metrics().Snapshot()
+	if st.Get(telemetry.MProgMisses) != 1 || st.Get(telemetry.MProgHits) != 2 {
+		t.Fatalf("program accounting: %v, want 1 miss / 2 hits", st.Values)
 	}
 
 	// Cap below the working set: pools are evicted oldest-first, and a
 	// re-submission of an evicted graph misses again.
 	e.SetCacheCap(2)
-	st = e.CacheStats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after capping below the pool count: %+v", st)
+	st = e.Metrics().Snapshot()
+	if st.Get(telemetry.MEvictions) == 0 {
+		t.Fatalf("no evictions after capping below the pool count: %v", st.Values)
 	}
 	e.mu.Lock()
 	nPools := len(e.pools)
@@ -344,9 +346,9 @@ func TestEngineCacheStatsAndEviction(t *testing.T) {
 	if nPools > 2 {
 		t.Fatalf("%d pools survive a cap of 2", nPools)
 	}
-	before := e.CacheStats().InstanceMisses
+	before := st.Get(telemetry.MInstMisses)
 	run(graphs[0]) // graphs[0] is the LRU; it must have been evicted
-	if after := e.CacheStats().InstanceMisses; after != before+1 {
+	if after := e.Metrics().Snapshot().Get(telemetry.MInstMisses); after != before+1 {
 		t.Fatalf("evicted graph did not miss on resubmission (misses %d → %d)", before, after)
 	}
 
@@ -405,19 +407,19 @@ func TestEngineCacheAdmission(t *testing.T) {
 	run(graphs[0])
 	run(graphs[1])
 	run(graphs[2]) // at cap: must evict graphs[0] (LRU), admit graphs[2]
-	st := e.CacheStats()
-	if st.Evictions != 1 || st.InstanceMisses != 3 {
-		t.Fatalf("after 3 distinct graphs at cap 2: %+v, want 3 misses / 1 eviction", st)
+	st := e.Metrics().Snapshot()
+	if st.Get(telemetry.MEvictions) != 1 || st.Get(telemetry.MInstMisses) != 3 {
+		t.Fatalf("after 3 distinct graphs at cap 2: %v, want 3 misses / 1 eviction", st.Values)
 	}
 	run(graphs[2]) // the just-admitted entry must have survived
-	st = e.CacheStats()
-	if st.InstanceHits != 1 {
-		t.Fatalf("the newest entry was evicted on admission: %+v, want its re-run to hit", st)
+	st = e.Metrics().Snapshot()
+	if st.Get(telemetry.MInstHits) != 1 {
+		t.Fatalf("the newest entry was evicted on admission: %v, want its re-run to hit", st.Values)
 	}
 	run(graphs[0]) // the LRU really was the victim
-	st = e.CacheStats()
-	if st.InstanceMisses != 4 || st.Evictions != 2 {
-		t.Fatalf("LRU graph re-run: %+v, want a 4th miss and a 2nd eviction", st)
+	st = e.Metrics().Snapshot()
+	if st.Get(telemetry.MInstMisses) != 4 || st.Get(telemetry.MEvictions) != 2 {
+		t.Fatalf("LRU graph re-run: %v, want a 4th miss and a 2nd eviction", st.Values)
 	}
 }
 
@@ -443,11 +445,11 @@ func TestEngineProgramCacheAdmission(t *testing.T) {
 	run(graphs[1])
 	run(graphs[2])
 	run(graphs[2])
-	st := e.CacheStats()
-	if st.ProgramHits != 1 {
-		t.Fatalf("the newest program entry was evicted on admission: %+v, want its re-run to hit", st)
+	st := e.Metrics().Snapshot()
+	if st.Get(telemetry.MProgHits) != 1 {
+		t.Fatalf("the newest program entry was evicted on admission: %v, want its re-run to hit", st.Values)
 	}
-	if st.ProgramMisses != 3 {
-		t.Fatalf("program accounting: %+v, want 3 misses", st)
+	if st.Get(telemetry.MProgMisses) != 3 {
+		t.Fatalf("program accounting: %v, want 3 misses", st.Values)
 	}
 }

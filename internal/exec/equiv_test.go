@@ -132,8 +132,8 @@ func bitIndex(x uint64) int {
 }
 
 // TestRuntimeEquivalence runs random ND programs through the serial
-// elision, random topological orders, the mutex baseline and the
-// lock-free work stealer, asserting identical strand effects everywhere.
+// elision, random topological orders and the lock-free work stealer,
+// asserting identical strand effects everywhere.
 func TestRuntimeEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		g := randomGraph(t, seed)
@@ -149,7 +149,6 @@ func TestRuntimeEquivalence(t *testing.T) {
 			"elision":     func() error { return RunElision(g) },
 			"random-topo": func() error { return RunRandomTopo(g, seed*7+1) },
 			"reverse":     func() error { return RunReverseGreedy(g) },
-			"mutex-4":     func() error { return RunParallelMutex(g, 4) },
 			"lockfree-1":  func() error { return RunParallel(g, 1) },
 			"lockfree-4":  func() error { return RunParallel(g, 4) },
 			"lockfree-16": func() error { return RunParallel(g, 16) },

@@ -1,10 +1,10 @@
 // Package exec runs ND programs for real: strand closures are executed in
-// an order consistent with the algorithm DAG. Four drivers are provided:
-// the serial elision, an adversarial randomized topological order (for
-// testing that fire rules enforce every dependency), a lock-free
-// work-stealing goroutine runtime (the user-level runtime for examples and
-// the real-machine experiments), and the retired mutex-serialized runtime,
-// kept as the differential-testing and benchmark baseline.
+// an order consistent with the algorithm DAG. Three serial drivers are
+// provided — the serial elision (the differential reference), an
+// adversarial randomized topological order (for testing that fire rules
+// enforce every dependency) and a deterministic reverse-greedy order —
+// beside the Engine, the lock-free work-stealing runtime every parallel
+// execution goes through (RunParallel is a one-shot wrapper over it).
 package exec
 
 import (
@@ -12,15 +12,12 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/ndflow/ndflow/internal/core"
 )
 
 // guardBody runs one strand body under the panic guard shared by every
-// runtime in this file, converting a panic into the same
+// serial driver in this file, converting a panic into the same
 // *StrandPanicError the engine returns — error behavior is identical
 // across the workers knob and the runtime choice.
 func guardBody(id int32, label string, body func()) *StrandPanicError {
@@ -121,20 +118,17 @@ func RunReverseGreedy(g *core.Graph) error {
 	return nil
 }
 
-// RunParallel executes the program on a pool of worker goroutines (default
-// GOMAXPROCS when workers ≤ 0) with no global lock: each worker owns a
-// Chase–Lev deque of ready strand IDs, pops locally in LIFO order
-// (depth-first locality), and steals from random victims when dry.
-// Readiness propagates through ConcurrentTracker's atomic counters over
-// the strand-level wake graph — one atomic decrement per waiting counter
-// per completion — so both strand bodies and dependency wake-ups scale
-// with cores, and the steady state allocates nothing per strand.
+// RunParallel executes the program once on a dedicated pool of worker
+// goroutines (default GOMAXPROCS when workers ≤ 0): a transient Engine
+// started for this run and closed when it returns, so one-shot callers
+// get the engine's lock-free scheduling and failure model without
+// managing an engine's lifetime. Create an Engine explicitly to amortize
+// the pool and the run state across runs.
 func RunParallel(g *core.Graph, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	eg := g.Exec()
-	total := eg.NumStrands()
 	if workers == 1 {
 		// Degenerate pool: one worker steals from nobody, and the compile
 		// step already proved acyclicity and banked a legal serial
@@ -147,221 +141,16 @@ func RunParallel(g *core.Graph, workers int) error {
 				}
 			}
 		}
-		if len(eg.TopoStrands()) != total {
+		if total := eg.NumStrands(); len(eg.TopoStrands()) != total {
 			return fmt.Errorf("exec: compiled schedule covers %d of %d strands", len(eg.TopoStrands()), total)
 		}
 		return nil
 	}
-	ct := core.NewConcurrentTracker(eg)
-	initial := ct.InitialReady()
-	if len(initial) == 0 {
-		if total == 0 {
-			return nil
-		}
-		return fmt.Errorf("exec: no initially-ready strand among %d (DAG deadlock)", total)
+	e := NewEngine(workers)
+	defer e.Close()
+	r, err := e.SubmitInstance(NewInstance(eg))
+	if err != nil {
+		return err
 	}
-	if workers > total {
-		workers = total
-	}
-
-	deques := make([]*wsDeque, workers)
-	per := total/workers + 1
-	for w := range deques {
-		deques[w] = newWSDeque(per)
-	}
-	for i, id := range initial {
-		deques[i%workers].push(int64(id))
-	}
-
-	// First panic wins; once set, remaining bodies are skipped but their
-	// completions still run, so the tracker drains and the pool exits
-	// through the normal quiescence path instead of wedging.
-	var failv atomic.Pointer[StrandPanicError]
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			d := deques[self]
-			rng := uint64(self)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-			ready := make([]int32, 0, 16)
-			scratch := make([]int32, 0, 16)
-			next := int64(-1)
-			idle := 0
-			for {
-				id := next
-				next = -1
-				if id < 0 {
-					var ok bool
-					if id, ok = d.pop(); !ok {
-						if id, _, ok = stealFrom(deques, self, &rng); !ok {
-							if ct.Quiescent() {
-								return
-							}
-							// Back off gradually: spin, then yield, then
-							// sleep with a doubling interval (capped at
-							// 1ms), so a long work drought parks idle
-							// workers instead of burning their cores on
-							// steal probes.
-							idle++
-							switch {
-							case idle < 32:
-							case idle < 256:
-								runtime.Gosched()
-							default:
-								pause := time.Duration(20) << uint(min(idle-256, 6)) * time.Microsecond
-								time.Sleep(pause)
-							}
-							continue
-						}
-					}
-				}
-				idle = 0
-				if leaf := eg.Strand(int32(id)); leaf.Run != nil && failv.Load() == nil {
-					if perr := guardBody(int32(id), leaf.Label, leaf.Run); perr != nil {
-						failv.CompareAndSwap(nil, perr)
-					}
-				}
-				ready, scratch, _ = ct.Complete(int32(id), ready[:0], scratch)
-				if n := len(ready); n > 0 {
-					// Keep one enabled strand as the next local task; the
-					// rest go on the deque for thieves.
-					next = int64(ready[n-1])
-					for _, r := range ready[:n-1] {
-						d.push(int64(r))
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if perr := failv.Load(); perr != nil {
-		return perr
-	}
-	if !ct.Done() {
-		return fmt.Errorf("exec: parallel run stalled at %d of %d strands (DAG deadlock)", ct.Executed(), total)
-	}
-	return nil
-}
-
-// stealFrom probes random victims, then sweeps deterministically so no
-// available task is ever missed. rng is a worker-local xorshift state.
-// On success the victim's index is returned alongside the task, for the
-// tracer's steal flow arrows.
-func stealFrom(deques []*wsDeque, self int, rng *uint64) (int64, int, bool) {
-	n := len(deques)
-	if n == 1 {
-		return 0, 0, false
-	}
-	for attempt := 0; attempt < 2*n; attempt++ {
-		*rng ^= *rng << 13
-		*rng ^= *rng >> 7
-		*rng ^= *rng << 17
-		victim := int(*rng % uint64(n))
-		if victim == self {
-			continue
-		}
-		if v, ok, retry := deques[victim].steal(); ok {
-			return v, victim, true
-		} else if retry {
-			attempt--
-		}
-	}
-	for victim := 0; victim < n; victim++ {
-		if victim == self {
-			continue
-		}
-		for {
-			v, ok, retry := deques[victim].steal()
-			if ok {
-				return v, victim, true
-			}
-			if !retry {
-				break
-			}
-		}
-	}
-	return 0, 0, false
-}
-
-// RunParallelMutex is the retired first-generation parallel runtime: one
-// global mutex serializes all readiness bookkeeping, with a condition
-// variable parking idle workers. It is kept as the reference baseline for
-// the RunParallel benchmarks and as a differential-testing oracle; new
-// code should call RunParallel.
-func RunParallelMutex(g *core.Graph, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) // same default as RunParallel
-	}
-	t := core.NewTracker(g)
-
-	var (
-		mu     sync.Mutex
-		cond   = sync.NewCond(&mu)
-		pool   []*core.Node
-		runErr error
-		done   bool
-	)
-	pool = append(pool, t.TakeReady()...)
-
-	worker := func() {
-		mu.Lock()
-		for {
-			for len(pool) == 0 && !done && runErr == nil {
-				cond.Wait()
-			}
-			if done || runErr != nil {
-				cond.Broadcast()
-				mu.Unlock()
-				return
-			}
-			leaf := pool[len(pool)-1]
-			pool = pool[:len(pool)-1]
-			mu.Unlock()
-
-			if leaf.Run != nil {
-				if perr := guardBody(int32(leaf.ID), leaf.Label, leaf.Run); perr != nil {
-					// Surface the panic through the existing runErr exit
-					// condition: the loop top sees it, broadcasts, and every
-					// worker drains out.
-					mu.Lock()
-					if runErr == nil {
-						runErr = perr
-					}
-					cond.Broadcast()
-					continue
-				}
-			}
-
-			mu.Lock()
-			if err := t.Complete(leaf); err != nil && runErr == nil {
-				runErr = err
-			}
-			pool = append(pool, t.TakeReady()...)
-			if t.Done() {
-				done = true
-			}
-			cond.Broadcast()
-		}
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	wg.Wait()
-
-	if runErr != nil {
-		return runErr
-	}
-	if !t.Done() {
-		return fmt.Errorf("exec: parallel run stalled at %d of %d strands (DAG deadlock)", t.Executed(), len(g.P.Leaves))
-	}
-	return nil
+	return r.Wait()
 }

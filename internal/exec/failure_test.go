@@ -37,13 +37,9 @@ func seqGraph(t *testing.T, bodies ...func()) *core.Graph {
 // strand, the panicking run's remaining strands must be skipped, and the
 // engine must execute a clean run right after.
 func TestEnginePanicContained(t *testing.T) {
-	engines := map[string]*Engine{
-		"fifo":     NewEngine(2),
-		"critpath": NewEngine(2, WithPolicy(PolicyCriticalPath)),
-		"relaxed":  NewRelaxedEngine(2),
-	}
-	for name, e := range engines {
-		t.Run(name, func(t *testing.T) {
+	for _, p := range allPolicies {
+		t.Run(p.String(), func(t *testing.T) {
+			e := NewEngine(2, WithPolicy(p))
 			defer e.Close()
 			var after atomic.Int32
 			g := seqGraph(t,
@@ -339,8 +335,8 @@ func TestCloseDrainsGoroutines(t *testing.T) {
 	e.Close() // idempotent after a draining Close
 }
 
-// TestSerialRuntimesPanicTyped: every serial/pool runtime in exec.go
-// converts a body panic into the same *StrandPanicError.
+// TestSerialRuntimesPanicTyped: every driver in exec.go converts a body
+// panic into the same *StrandPanicError.
 func TestSerialRuntimesPanicTyped(t *testing.T) {
 	mk := func() *core.Graph {
 		return seqGraph(t, nil, func() { panic("serial boom") }, nil)
@@ -351,7 +347,6 @@ func TestSerialRuntimesPanicTyped(t *testing.T) {
 		"reverse-greedy": RunReverseGreedy,
 		"parallel-1":     func(g *core.Graph) error { return RunParallel(g, 1) },
 		"parallel-4":     func(g *core.Graph) error { return RunParallel(g, 4) },
-		"mutex-4":        func(g *core.Graph) error { return RunParallelMutex(g, 4) },
 	}
 	for name, run := range runtimes {
 		t.Run(name, func(t *testing.T) {

@@ -58,10 +58,11 @@ func newMetricsSet(workers int) *metricsSet {
 	return m
 }
 
-// Metrics returns the engine's telemetry registry — the one source of
-// truth the legacy SchedStats/CacheStats/TopologyStats accessors now
-// read from. Snapshot it for an instantaneous reading, or pair
-// snapshots with Snapshot.Delta to meter an interval.
+// Metrics returns the engine's telemetry registry, the one source of
+// truth for scheduling, cache, topology, dynamic-runtime and JIT
+// counters: Metrics().Snapshot().Get(telemetry.MSteals) and friends.
+// Snapshot it for an instantaneous reading, or pair snapshots with
+// Snapshot.Delta to meter an interval.
 func (e *Engine) Metrics() *telemetry.Registry { return e.met.reg }
 
 // Tracer returns the tracer armed with WithTracing, nil when tracing is

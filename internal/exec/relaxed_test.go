@@ -5,24 +5,14 @@ import (
 )
 
 // TestPolicyEnginesMatchElision runs the random instrumented-graph
-// differential (see TestEngineMatchesElision) on the critical-path-first
-// and relaxed engines: priority only reorders legal schedules, so every
-// run must still reproduce the serial elision's strand effects.
+// differential (see TestEngineMatchesElision) on the non-default
+// policies: a policy only reorders legal schedules, so every run must
+// still reproduce the serial elision's strand effects.
 func TestPolicyEnginesMatchElision(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() *Engine
-	}{
-		{"critpath", func() *Engine { return NewEngine(4, WithPolicy(PolicyCriticalPath)) }},
-		{"relaxed", func() *Engine { return NewRelaxedEngine(4) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			e := c.build()
+	for _, p := range allPolicies[1:] {
+		t.Run(p.String(), func(t *testing.T) {
+			e := NewEngine(4, WithPolicy(p))
 			defer e.Close()
-			if e.Policy() == PolicyFIFO {
-				t.Fatal("policy engine reports PolicyFIFO")
-			}
 			for seed := int64(0); seed < 25; seed++ {
 				g, val, want := engineGraph(t, seed)
 				if g == nil {

@@ -50,13 +50,6 @@ import (
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
-// TopologyStats counts locality-policy activity since engine start.
-type TopologyStats struct {
-	Claims    int64 // anchor tasks bound to a domain
-	Fallbacks int64 // anchor tasks demoted to flat stealing (no budget)
-	Posts     int64 // strands handed to a domain mailbox by an outsider
-}
-
 // Topology is the steal topology of a locality-aware engine: the worker→
 // domain maps, victim tiers, mailboxes and σ-budgets derived from a
 // machine spec. One Topology belongs to one Engine; budgets are shared
@@ -87,12 +80,12 @@ type Topology struct {
 	// met holds the policy counters (claims, fallbacks, posts). A
 	// free-standing topology gets a private set at construction so the
 	// claim protocol can be driven (and metered) without an engine; when
-	// newEngine adopts the topology it re-points met at the engine's
-	// set, making Engine.Metrics the one source of truth.
+	// an engine adopts the topology (newReadyQueue) it re-points met at
+	// the engine's set, making Engine.Metrics the one source of truth.
 	met *metricsSet
-	// eng back-links the owning engine once newEngine adopts the
-	// topology: anchor claim/release trace events ride its tracer. nil
-	// on a free-standing topology, which never traces.
+	// eng back-links the owning engine once adopted: anchor claim/release
+	// trace events ride its tracer. nil on a free-standing topology,
+	// which never traces.
 	eng *Engine
 }
 
@@ -226,17 +219,6 @@ func (t *Topology) victimTiers(w int) [][]int {
 		tiers = append(tiers, rest)
 	}
 	return tiers
-}
-
-// Stats returns a snapshot of the policy counters, read from the
-// telemetry registry — the owning engine's once adopted (Engine.Metrics
-// is the full view), a private one on a free-standing topology.
-func (t *Topology) Stats() TopologyStats {
-	return TopologyStats{
-		Claims:    int64(t.met.claims.Value()),
-		Fallbacks: int64(t.met.fallbacks.Value()),
-		Posts:     int64(t.met.posts.Value()),
-	}
 }
 
 // Workers returns the pool size the topology was built for.
@@ -533,6 +515,61 @@ func (m *mailbox) take(max int, dst []int64) []int64 {
 
 // --- engine integration
 
+// localSched is PolicyLocality, domain mailboxes: strands of an anchored
+// run route by the topology — the enabling worker's deque when it sits in
+// the anchor's domain, that domain's mailbox otherwise — and idle workers
+// sweep nearest-first. Unanchored runs (and the injector seeding) keep
+// the embedded FIFO discipline exactly.
+type localSched struct {
+	fifoSched
+	topo *Topology
+	mail [][]int64 // per worker slot: mailbox-poll scratch, owned with the slot
+}
+
+// seed attaches anchoring state on first contact with this topology
+// (newState returns nil when the plan anchors nothing; pooled instances
+// keep theirs, a caller-owned instance migrating between engines is
+// re-bound). One pointer compare in the steady state.
+func (s *localSched) seed(inst *Instance, slot int32) {
+	if inst.locTopo != s.topo {
+		inst.loc = s.topo.newState(inst.eg)
+		inst.locTopo = s.topo
+	}
+	s.fifoSched.seed(inst, slot)
+}
+
+// publish routes an anchored run's strands by the topology; a run whose
+// plan anchors nothing takes the FIFO publish.
+//
+//ndlint:hotpath
+func (s *localSched) publish(w *Worker, inst *Instance, slot, id int32, ready []int32) int64 {
+	if ls := inst.loc; ls != nil {
+		return s.routeReady(w, ls, slot, id, ready)
+	}
+	return s.fifoSched.publish(w, inst, slot, id, ready)
+}
+
+// sweep is hierarchical: the worker's own domain mailboxes (lowest level
+// first), then a nearest-first steal walk, then every other domain's
+// mailbox — anchored work is preferred by its domain but never strands
+// while anyone is idle.
+//
+//ndlint:hotpath
+func (s *localSched) sweep(w *Worker) (int64, bool) {
+	if t, ok := s.pollMail(w, true); ok {
+		return t, true
+	}
+	if t, victim, ok := s.topo.stealNear(s.e.deques, w.self, &w.rng); ok {
+		s.e.noteSteal(w.self, t, victim)
+		return t, true
+	}
+	if t, ok := s.pollMail(w, false); ok {
+		s.e.noteSteal(w.self, t, -1)
+		return t, true
+	}
+	return 0, false
+}
+
 // routeReady distributes the strands a completion enabled. Flat strands
 // (and anchored strands whose domain includes this worker) chain or go
 // on the local deque exactly like the flat engine; strands anchored
@@ -543,12 +580,13 @@ func (m *mailbox) take(max int, dst []int64) []int64 {
 // pipeline shape, bounce the whole frontier through park/wake cycles),
 // so locality yields to progress exactly like the simulator's fallback
 // runs. Local pushes wake sleepers in one batched call per completion.
-func (e *Engine) routeReady(w *Worker, d *wsDeque, ls *locState, slot, cur int32, ready []int32) int64 {
+func (s *localSched) routeReady(w *Worker, ls *locState, slot, cur int32, ready []int32) int64 {
+	e, t := s.e, s.topo
+	d := e.deques[w.self]
 	next := int64(-1)
 	held := int64(-1) // one foreign-anchored strand held back while next is open
 	wakes := 0
 	posted := 0
-	t := ls.topo
 	post := func(word int64) {
 		id := int32(uint32(word))
 		a := ls.plan.anchorOf[id]
@@ -620,9 +658,7 @@ func (e *Engine) routeReady(w *Worker, d *wsDeque, ls *locState, slot, cur int32
 	if posted > 0 {
 		e.met.posts.Add(w.self, uint64(posted))
 	}
-	if wakes > 0 && e.nSleep.Load() > 0 {
-		e.wake(wakes)
-	}
+	e.wakeFor(wakes)
 	return next
 }
 
@@ -632,31 +668,32 @@ func (e *Engine) routeReady(w *Worker, d *wsDeque, ls *locState, slot, cur int32
 // is swept — the pre-parking pass that keeps anchored work from ever
 // stranding while any worker is idle. With nothing posted anywhere the
 // whole call is one atomic load.
-func (e *Engine) pollMail(self int, ownOnly bool, buf []int64) (int64, []int64, bool) {
-	t := e.topo
+func (s *localSched) pollMail(w *Worker, ownOnly bool) (int64, bool) {
+	t := s.topo
 	if t.mailPending.Load() == 0 {
-		return 0, buf, false
+		return 0, false
 	}
+	buf := &s.mail[w.self]
 	for k := 0; k < t.levels; k++ {
 		if ownOnly {
-			buf = t.mail[k][t.domainOf[k][self]].take(4, buf[:0])
-			if n := len(buf); n > 0 {
+			*buf = t.mail[k][t.domainOf[k][w.self]].take(4, (*buf)[:0])
+			if n := len(*buf); n > 0 {
 				t.mailPending.Add(int64(-n))
-				d := e.deques[self]
-				for _, w := range buf[1:] {
-					d.push(w)
+				d := s.e.deques[w.self]
+				for _, word := range (*buf)[1:] {
+					d.push(word)
 				}
-				return buf[0], buf, true
+				return (*buf)[0], true
 			}
 			continue
 		}
 		for _, box := range t.mail[k] {
-			buf = box.take(1, buf[:0])
-			if len(buf) > 0 {
+			*buf = box.take(1, (*buf)[:0])
+			if len(*buf) > 0 {
 				t.mailPending.Add(-1)
-				return buf[0], buf, true
+				return (*buf)[0], true
 			}
 		}
 	}
-	return 0, buf, false
+	return 0, false
 }

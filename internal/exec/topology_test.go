@@ -6,6 +6,7 @@ import (
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/footprint"
 	"github.com/ndflow/ndflow/internal/pmh"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // topoSpec4 is a 4-worker, two-level hierarchy: private L1s (σ-budget 10
@@ -77,13 +78,12 @@ func TestTopologyRejectsMismatch(t *testing.T) {
 	if _, err := NewTopology(bad, 0, 0); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	e, err := NewLocalityEngine(4, topoSpec4(), 2.0)
+	topo, err := NewTopology(topoSpec4(), 0, 2.0)
 	if err != nil {
-		t.Fatalf("valid locality engine rejected: %v", err)
+		t.Fatalf("valid topology rejected: %v", err)
 	}
-	defer e.Close()
-	if e.Topology() == nil || e.Topology().sigma != 1.0/3 {
-		t.Fatal("out-of-range sigma did not default to 1/3")
+	if topo.Workers() != 4 || topo.sigma != 1.0/3 {
+		t.Fatalf("workers/sigma = %d/%v, want the spec's 4 processors and the default 1/3", topo.Workers(), topo.sigma)
 	}
 }
 
@@ -230,7 +230,7 @@ func TestResolveClaimsAndFallsBack(t *testing.T) {
 	if dom := over.resolve(0, 0); dom != domFlat {
 		t.Fatalf("exhausted budgets resolved to %d, want flat fallback", dom)
 	}
-	if topo.Stats().Fallbacks == 0 {
+	if topo.met.fallbacks.Value() == 0 {
 		t.Fatal("fallback not counted")
 	}
 	// Completing every strand of every claimed task releases all budget;
@@ -253,17 +253,22 @@ func TestResolveClaimsAndFallsBack(t *testing.T) {
 	}
 }
 
-// TestLocalityEngineEndToEnd runs a real graph on a locality-aware
-// engine repeatedly (exercising the pooled anchoring state's reset) and
-// checks that anchors were claimed and every σ-budget returned to zero.
+// TestLocalityEngineEndToEnd runs a real graph on a traced locality
+// engine repeatedly (exercising the pooled anchoring state's reset): the
+// moment Wait returns, every σ-budget must be back to zero and the run's
+// trace must pair each anchor claim with its release — the last strand of
+// an anchor may retire on a worker other than the run's finisher, and
+// its release must still land before the run is over.
 func TestLocalityEngineEndToEnd(t *testing.T) {
-	e, err := NewLocalityEngine(4, topoSpec4(), 1.0/3)
+	topo, err := NewTopology(topoSpec4(), 4, 1.0/3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trc := telemetry.NewTracer()
+	e := NewEngine(4, WithTopology(topo), WithTracing(trc))
 	defer e.Close()
 	g := planProgram(t)
-	for run := 0; run < 8; run++ {
+	for run := 0; run < 64; run++ {
 		r, err := e.Submit(g)
 		if err != nil {
 			t.Fatal(err)
@@ -271,17 +276,22 @@ func TestLocalityEngineEndToEnd(t *testing.T) {
 		if err := r.Wait(); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-	}
-	topo := e.Topology()
-	if topo.Stats().Claims == 0 {
-		t.Fatal("no anchor was ever claimed")
-	}
-	for k := range topo.used {
-		for d := range topo.used[k] {
-			if used := topo.used[k][d].Load(); used != 0 {
-				t.Fatalf("σ-budget leak after runs: level %d domain %d holds %d words", k, d, used)
+		for k := range topo.used {
+			for d := range topo.used[k] {
+				if used := topo.used[k][d].Load(); used != 0 {
+					t.Fatalf("run %d: σ-budget leak: level %d domain %d holds %d words", run, k, d, used)
+				}
 			}
 		}
+		tr := trc.TakeLast()
+		counts := tr.Counts()
+		if c, rel := counts[telemetry.EvAnchorClaim], counts[telemetry.EvAnchorRelease]; c != rel {
+			t.Fatalf("run %d: trace has %d anchor claims and %d releases", run, c, rel)
+		}
+		trc.Recycle(tr)
+	}
+	if e.Metrics().Snapshot().Get(telemetry.MClaims) == 0 {
+		t.Fatal("no anchor was ever claimed")
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/experiments"
-	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
@@ -25,17 +24,12 @@ const benchLocWorkers = 4
 // newBenchEngine builds the flat or locality-aware engine the pairs
 // compare. The locality engine derives its domains from the default
 // machine-shaped spec at the benchmark's worker count, the same
-// configuration `ndbench -serve -locality` uses.
-func newBenchEngine(b *testing.B, locality bool) *exec.Engine {
-	b.Helper()
-	if !locality {
-		return exec.NewEngine(benchLocWorkers)
+// configuration `ndbench -serve -policy locality` uses.
+func newBenchEngine(locality bool) *exec.Engine {
+	if locality {
+		return newPolicyEngine(exec.PolicyLocality)
 	}
-	e, err := exec.NewLocalityEngine(benchLocWorkers, pmh.DefaultSpec(benchLocWorkers), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return e
+	return newPolicyEngine(exec.PolicyFIFO)
 }
 
 func liveGraph(b *testing.B, algo string, n, base int) *core.Graph {
@@ -87,52 +81,52 @@ func benchEngineGraph(b *testing.B, e *exec.Engine, g *core.Graph) {
 // table from rows above it — the cache-heavy pipelined workload whose
 // simulator counterpart is experiment E7.
 func BenchmarkFlatEngineFWLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, false), liveGraph(b, "FW-1D", 256, 4))
+	benchEngineGraph(b, newBenchEngine(false), liveGraph(b, "FW-1D", 256, 4))
 }
 
 func BenchmarkLocalityEngineFWLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, true), liveGraph(b, "FW-1D", 256, 4))
+	benchEngineGraph(b, newBenchEngine(true), liveGraph(b, "FW-1D", 256, 4))
 }
 
 // FW at n=512: the 2.1MB table exceeds this box's L2, so the execution
 // order decides how often the live bodies refetch rows — the regime the
 // anchored, task-contiguous schedule is built for.
 func BenchmarkFlatEngineFWBigLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, false), liveGraph(b, "FW-1D", 512, 8))
+	benchEngineGraph(b, newBenchEngine(false), liveGraph(b, "FW-1D", 512, 8))
 }
 
 func BenchmarkLocalityEngineFWBigLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, true), liveGraph(b, "FW-1D", 512, 8))
+	benchEngineGraph(b, newBenchEngine(true), liveGraph(b, "FW-1D", 512, 8))
 }
 
 // Matrix multiplication with live bodies (C += A·B accumulates, so
 // re-running one instance is numerically safe): heavy block reuse across
 // sibling tasks.
 func BenchmarkFlatEngineMatmulLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, false), liveGraph(b, "MM", 256, 16))
+	benchEngineGraph(b, newBenchEngine(false), liveGraph(b, "MM", 256, 16))
 }
 
 func BenchmarkLocalityEngineMatmulLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, true), liveGraph(b, "MM", 256, 16))
+	benchEngineGraph(b, newBenchEngine(true), liveGraph(b, "MM", 256, 16))
 }
 
 // The 2-D stencil with live bodies: wavefront dependencies, quadrant
 // tasks with compact footprints — the shape anchoring likes most.
 func BenchmarkFlatEngineStencilLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, false), liveGraph(b, "Stencil", 256, 8))
+	benchEngineGraph(b, newBenchEngine(false), liveGraph(b, "Stencil", 256, 8))
 }
 
 func BenchmarkLocalityEngineStencilLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, true), liveGraph(b, "Stencil", 256, 8))
+	benchEngineGraph(b, newBenchEngine(true), liveGraph(b, "Stencil", 256, 8))
 }
 
 // The stencil at n=512 (2.1MB table, past this box's L2), base 16.
 func BenchmarkFlatEngineStencilBigLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, false), liveGraph(b, "Stencil", 512, 16))
+	benchEngineGraph(b, newBenchEngine(false), liveGraph(b, "Stencil", 512, 16))
 }
 
 func BenchmarkLocalityEngineStencilBigLive(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, true), liveGraph(b, "Stencil", 512, 16))
+	benchEngineGraph(b, newBenchEngine(true), liveGraph(b, "Stencil", 512, 16))
 }
 
 // The nil-body FW-256/4 replay: pure scheduling overhead. Pairs with
@@ -144,12 +138,12 @@ func BenchmarkLocalityEngineStencilBigLive(b *testing.B) {
 // anchor bookkeeping. The live-body pairs above are the ones that price
 // anchor resolution, budget accounting and mailbox routing.
 func BenchmarkLocalityEngineRerun(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, true), fwSchedGraph(b, 256, 4))
+	benchEngineGraph(b, newBenchEngine(true), fwSchedGraph(b, 256, 4))
 }
 
 // BenchmarkFlatEngineRerun is BenchmarkEngineRerun pinned to the same
 // worker count as the locality pair, so the two rows differ only in
 // policy.
 func BenchmarkFlatEngineRerun(b *testing.B) {
-	benchEngineGraph(b, newBenchEngine(b, false), fwSchedGraph(b, 256, 4))
+	benchEngineGraph(b, newBenchEngine(false), fwSchedGraph(b, 256, 4))
 }

@@ -188,24 +188,32 @@ type Submission = exec.Run
 
 // Policy selects an engine's ready-structure and ordering discipline.
 // Every policy produces bit-identical outputs; only the order in which
-// ready strands start differs. See DESIGN.md's "exec: scheduling
-// policies" section.
+// ready strands start differs. See DESIGN.md's "exec: the scheduler
+// seam" section.
 type Policy = exec.Policy
 
 // EngineOption configures NewEngine.
 type EngineOption = exec.Option
 
 // The scheduling policies: FIFO submission order with LIFO/steal deques
-// (the default), critical-path-first by compile-time depth-to-sink, and
-// the relaxed MultiQueue structure trading strict priority order for
-// contention-free throughput.
+// (the default); critical-path-first by compile-time depth-to-sink; the
+// relaxed MultiQueue structure (per-worker queue pairs, pick-2-random
+// stealing) trading strict priority order — within O(workers·log workers)
+// rank inversions w.h.p. — for contention-free throughput; and locality,
+// which groups the workers into cache domains shaped like a real machine
+// (pmh.DefaultSpec at the worker count), steals nearest-first, and
+// anchors tasks whose compiled footprint σ-fits a domain's cache to it —
+// the online analogue of the paper's space-bounded scheduler (§4;
+// internal/exec.WithTopology takes an explicit machine spec and σ).
 const (
 	PolicyFIFO         = exec.PolicyFIFO
 	PolicyCriticalPath = exec.PolicyCriticalPath
 	PolicyRelaxed      = exec.PolicyRelaxed
+	PolicyLocality     = exec.PolicyLocality
 )
 
-// WithPolicy selects the engine's scheduling policy.
+// WithPolicy selects the engine's scheduling policy. It composes with
+// every other option: any policy can be traced and fault-injected.
 func WithPolicy(p Policy) EngineOption { return exec.WithPolicy(p) }
 
 // --- Telemetry
@@ -300,29 +308,10 @@ func WithFaultInjector(fn func(strand int32) FaultKind) EngineOption {
 
 // NewEngine starts an engine with the given worker count (GOMAXPROCS when
 // workers ≤ 0). Submit work with Engine.Run or Engine.Submit; shut it
-// down with Engine.Close. Options select the scheduling policy, e.g.
-// NewEngine(8, WithPolicy(PolicyCriticalPath)).
+// down with Engine.Close. Options select the scheduling policy and arm
+// tracing or fault injection, e.g. NewEngine(8, WithPolicy(PolicyLocality),
+// WithTracing(tr)).
 func NewEngine(workers int, opts ...EngineOption) *Engine { return exec.NewEngine(workers, opts...) }
-
-// NewRelaxedEngine starts an engine whose ready structure is a relaxed
-// MultiQueue keyed by depth-to-sink: per-worker queue pairs with
-// pick-2-random stealing, approximating priority order within
-// O(workers·log workers) rank inversions w.h.p. while keeping pops
-// contention-free. Shorthand for NewEngine(workers,
-// WithPolicy(PolicyRelaxed)).
-func NewRelaxedEngine(workers int) *Engine { return exec.NewRelaxedEngine(workers) }
-
-// NewLocalityEngine starts an engine whose workers are grouped into cache
-// domains shaped like a real machine (pmh.DefaultSpec at the given worker
-// count): victim selection steals nearest-first — same cache domain, then
-// sibling domains, then the whole pool — and tasks whose compiled
-// footprint σ-fits a domain's cache are anchored to it, the online
-// analogue of the paper's space-bounded scheduler (§4). See DESIGN.md's
-// "exec: locality-aware scheduling" section; internal/exec.NewLocalityEngine
-// accepts an explicit machine spec and σ.
-func NewLocalityEngine(workers int) (*Engine, error) {
-	return exec.NewLocalityEngine(workers, pmh.Spec{}, 0)
-}
 
 var (
 	defaultEngineOnce sync.Once
@@ -343,7 +332,7 @@ func DefaultEngine() *Engine {
 // worker pool — with per-call run state, so one-shot graphs are not
 // retained by the process-lifetime engine (create an Engine explicitly
 // to get cached, zero-allocation re-runs). An explicit worker count runs
-// a dedicated one-shot pool of exactly that size.
+// on a transient engine of exactly that size, closed when Run returns.
 func Run(g *Graph, workers int) error {
 	if workers <= 0 {
 		if runtime.GOMAXPROCS(0) == 1 {

@@ -178,10 +178,7 @@ func TestLocalityEngineThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := ndflow.NewLocalityEngine(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := ndflow.NewEngine(2, ndflow.WithPolicy(ndflow.PolicyLocality))
 	defer e.Close()
 	for i := 0; i < 3; i++ {
 		if err := e.Run(p); err != nil {

@@ -1,12 +1,11 @@
 // Micro-benchmarks for the compiled-core pipeline: the DAG Rewriting
 // System (BenchmarkRewrite), the CSR compile step (BenchmarkCompile), the
-// real-machine runtime (BenchmarkRunParallel vs. the retired
-// mutex-serialized baseline) and the long-lived execution engine
-// (BenchmarkEngineRerun for zero-alloc cached re-runs,
-// BenchmarkEngineThroughput vs. BenchmarkSpawnPerRunThroughput for
-// concurrent serving) on large Floyd–Warshall and LU instances. Run with
+// one-shot runtime (BenchmarkRunParallel: a transient engine per run) and
+// the long-lived execution engine (BenchmarkEngineRerun for zero-alloc
+// cached re-runs, BenchmarkEngineThroughput for concurrent serving) on
+// large Floyd–Warshall and LU instances. Run with
 //
-//	go test -bench 'Rewrite|Compile|RunParallel|Engine|SpawnPerRun' -benchmem
+//	go test -bench 'Rewrite|Compile|RunParallel|Engine' -benchmem
 //
 // to measure both throughput and per-strand allocation behaviour.
 package ndflow_test
@@ -148,27 +147,10 @@ func BenchmarkRunParallelWorkers4(b *testing.B) {
 	benchRuntime(b, fwSchedGraph(b, 256, 4), 4, exec.RunParallel)
 }
 
-// BenchmarkRunParallelMutex measures the retired mutex-serialized runtime
-// on the same instance at its default worker count (NumCPU), as the
-// comparison baseline.
-func BenchmarkRunParallelMutex(b *testing.B) {
-	benchRuntime(b, fwSchedGraph(b, 256, 4), 0, exec.RunParallelMutex)
-}
-
-// BenchmarkRunParallelMutexWorkers4 is the baseline at four workers.
-func BenchmarkRunParallelMutexWorkers4(b *testing.B) {
-	benchRuntime(b, fwSchedGraph(b, 256, 4), 4, exec.RunParallelMutex)
-}
-
 // BenchmarkRunParallelLU runs the lock-free runtime with live LU strand
 // bodies: end-to-end factorization throughput rather than pure overhead.
 func BenchmarkRunParallelLU(b *testing.B) {
 	benchRuntime(b, luGraph(b, 128, 8), 0, exec.RunParallel)
-}
-
-// BenchmarkRunParallelMutexLU is the live-body baseline.
-func BenchmarkRunParallelMutexLU(b *testing.B) {
-	benchRuntime(b, luGraph(b, 128, 8), 0, exec.RunParallelMutex)
 }
 
 // BenchmarkEngineRerun measures steady-state re-execution of one cached
@@ -176,22 +158,9 @@ func BenchmarkRunParallelMutexLU(b *testing.B) {
 // graph, the instance pool serves a generation-rewound tracker, and a run
 // allocates nothing (the allocs/op column is the claim).
 func BenchmarkEngineRerun(b *testing.B) {
-	benchEngineRerun(b)
-}
-
-// BenchmarkEngineRerunUnguarded is the paired control for the failure
-// model's overhead claim: the same cached FW-256/4 rerun with the panic
-// recover wrapper disabled. The guarded/unguarded delta is the total
-// per-strand price of panic containment (one branch plus one deferred
-// recover per dispatched body) and must stay within 2% of this control.
-func BenchmarkEngineRerunUnguarded(b *testing.B) {
-	benchEngineRerun(b, exec.WithUnguardedBodies())
-}
-
-func benchEngineRerun(b *testing.B, opts ...exec.Option) {
 	g := fwSchedGraph(b, 256, 4)
 	p := g.P
-	e := exec.NewEngine(0, opts...)
+	e := exec.NewEngine(0)
 	defer e.Close()
 	for i := 0; i < 3; i++ { // warm: compile cache, instance pool, deque growth
 		if err := e.Run(p); err != nil {
@@ -249,9 +218,7 @@ func BenchmarkEngineRerunTraced(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput drives one engine from ≥ 4 concurrent
-// submitters re-running the same cached program; compare against
-// BenchmarkSpawnPerRunThroughput, which pays pool spawn plus tracker
-// allocation on every run.
+// submitters re-running the same cached program.
 func BenchmarkEngineThroughput(b *testing.B) {
 	g := fwSchedGraph(b, 256, 4)
 	e := exec.NewEngine(4)
@@ -265,24 +232,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			if err := e.Run(g.P); err != nil {
-				b.Error(err) // Fatal must not be called off the benchmark goroutine
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkSpawnPerRunThroughput is the spawn-per-run baseline for
-// BenchmarkEngineThroughput: the same concurrent submitters, each call
-// building a fresh 4-worker pool, deques and tracker.
-func BenchmarkSpawnPerRunThroughput(b *testing.B) {
-	g := fwSchedGraph(b, 256, 4)
-	b.SetParallelism(4)
-	b.ResetTimer()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := exec.RunParallel(g, 4); err != nil {
 				b.Error(err) // Fatal must not be called off the benchmark goroutine
 				return
 			}

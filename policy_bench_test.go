@@ -25,9 +25,6 @@ import (
 )
 
 func newPolicyEngine(policy exec.Policy) *exec.Engine {
-	if policy == exec.PolicyRelaxed {
-		return exec.NewRelaxedEngine(benchLocWorkers)
-	}
 	return exec.NewEngine(benchLocWorkers, exec.WithPolicy(policy))
 }
 

@@ -1,11 +1,12 @@
 // Structural tests for the strand-level tracer: every algorithm builder
 // executed on a traced engine must yield a trace whose event stream is
 // sound — each dispatched strand completes exactly once, dispatch count
-// equals the graph's strand count, steal records name in-range victims —
-// and whose Chrome trace_event export is well-formed JSON. A traced
-// chaos run must still fail typed while producing an exportable trace,
-// and a traced dynamic run must surface the suspension machinery
-// (park, donation, resume) as events.
+// equals the graph's strand count, steal records name in-range victims,
+// every anchor claim is released — and whose Chrome trace_event export
+// is well-formed JSON, under every scheduling policy. A traced chaos run
+// must still fail typed while producing an exportable trace, and a
+// traced dynamic run must surface the suspension machinery (park,
+// donation, resume) as events.
 package ndflow_test
 
 import (
@@ -18,34 +19,12 @@ import (
 	"time"
 
 	"github.com/ndflow/ndflow/internal/algos"
-	"github.com/ndflow/ndflow/internal/algos/fw"
-	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/dyn"
 	"github.com/ndflow/ndflow/internal/exec"
-	"github.com/ndflow/ndflow/internal/matrix"
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 const traceWorkers = 4
-
-// fwTraceGraph is a mid-size nil-body FW graph — enough strands for
-// real cross-worker scheduling without numerics in the bodies.
-func fwTraceGraph(t *testing.T) *core.Graph {
-	t.Helper()
-	inst := fw.NewInstance(matrix.NewSpace(), 64, 11)
-	prog, err := fw.New(algos.ND, inst, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := core.Rewrite(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range g.P.Leaves {
-		l.Run = nil
-	}
-	return g
-}
 
 // takeTrace drains the single stitched trace a just-finished run left on
 // the tracer.
@@ -78,126 +57,166 @@ func checkChromeJSON(t *testing.T, tr *telemetry.Trace) []map[string]any {
 	return decoded.TraceEvents
 }
 
+// checkAnchors verifies the trace's locality events pair up — every
+// anchor claimed during the run was released to the same domain before
+// the run finished — and returns the number of claims.
+func checkAnchors(t *testing.T, tr *telemetry.Trace) int {
+	t.Helper()
+	type anchor struct {
+		id  int32
+		dom int64
+	}
+	held := make(map[anchor]int)
+	claims := 0
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case telemetry.EvAnchorClaim:
+			claims++
+			held[anchor{ev.ID, ev.Arg}]++
+		case telemetry.EvAnchorRelease:
+			held[anchor{ev.ID, ev.Arg}]--
+		}
+	}
+	for a, n := range held {
+		if n != 0 {
+			t.Fatalf("anchor task %d on domain %d: claims minus releases = %d at run end", a.id, a.dom, n)
+		}
+	}
+	return claims
+}
+
 // TestTraceIntegrity runs every differential-suite builder on a traced
-// engine and checks the structural invariants of each stitched trace.
+// engine of every policy and checks the structural invariants of each
+// stitched trace. The locality engine's traces must also show the
+// anchoring machinery: claims, each matched by a release.
 func TestTraceIntegrity(t *testing.T) {
-	trc := telemetry.NewTracer()
-	eng := exec.NewEngine(traceWorkers, exec.WithTracing(trc))
-	defer eng.Close()
+	for _, p := range diffPolicies {
+		trc := telemetry.NewTracer()
+		eng := diffEngine(t, p, exec.WithTracing(trc))
+		claims := 0
+		for _, c := range diffCases() {
+			model := c.models[len(c.models)-1]
+			t.Run(fmt.Sprintf("%s/%s/%s", p, c.name, model), func(t *testing.T) {
+				g, _, err := c.build(model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := submitTo(eng)(g); err != nil {
+					t.Fatal(err)
+				}
+				tr := takeTrace(t, trc)
+				defer trc.Recycle(tr)
+				strands := g.Exec().NumStrands()
+
+				type frameKey struct{ slot, id int32 }
+				open := make(map[frameKey]int)
+				var starts, ends, dispatches, completes int
+				for _, ev := range tr.Events {
+					if int(ev.Worker) >= tr.Workers {
+						t.Fatalf("event %v on worker %d of %d", ev.Kind, ev.Worker, tr.Workers)
+					}
+					switch ev.Kind {
+					case telemetry.EvRunStart:
+						starts++
+						if int(ev.Arg) != strands {
+							t.Fatalf("EvRunStart carries %d strands, graph has %d", ev.Arg, strands)
+						}
+					case telemetry.EvRunEnd:
+						ends++
+					case telemetry.EvDispatch:
+						dispatches++
+						open[frameKey{ev.Slot, ev.ID}]++
+					case telemetry.EvComplete:
+						completes++
+						k := frameKey{ev.Slot, ev.ID}
+						open[k]--
+						if open[k] < 0 {
+							t.Fatalf("strand %d completed without a dispatch", ev.ID)
+						}
+					case telemetry.EvSteal:
+						if ev.Arg < -1 || ev.Arg >= int64(tr.Workers) {
+							t.Fatalf("steal victim %d out of range [-1, %d)", ev.Arg, tr.Workers)
+						}
+					}
+				}
+				if starts != 1 || ends != 1 {
+					t.Fatalf("trace has %d EvRunStart and %d EvRunEnd, want 1 and 1", starts, ends)
+				}
+				if dispatches != strands {
+					t.Fatalf("trace has %d dispatches for %d strands", dispatches, strands)
+				}
+				if completes != dispatches {
+					t.Fatalf("%d completes for %d dispatches", completes, dispatches)
+				}
+				for k, n := range open {
+					if n != 0 {
+						t.Fatalf("strand %d (slot %d) left %d unmatched dispatches", k.id, k.slot, n)
+					}
+				}
+				claims += checkAnchors(t, tr)
+				checkChromeJSON(t, tr)
+			})
+		}
+		eng.Close()
+		if got := claims > 0; got != (p == exec.PolicyLocality) {
+			t.Errorf("%s: %d anchor claims traced across the wall; want some exactly under locality", p, claims)
+		}
+	}
+}
+
+// TestChaosTraced arms tracing and the fault injector together on every
+// policy: the run must still fail typed (panic containment is unchanged
+// by tracing), the stitched trace must record the failure, and the
+// Chrome export must stay well-formed. The graph is a live FW-1D, so the
+// locality engine's failed run also carries anchor claims — every one of
+// them released, although the run's remaining bodies were skipped.
+func TestChaosTraced(t *testing.T) {
+	var fwCase diffCase
 	for _, c := range diffCases() {
-		model := c.models[len(c.models)-1]
-		t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
-			g, _, err := c.build(model)
+		if c.name == "FW-1D" {
+			fwCase = c
+		}
+	}
+	for _, p := range diffPolicies {
+		t.Run(p.String(), func(t *testing.T) {
+			var armed atomic.Bool
+			trc := telemetry.NewTracer()
+			eng := diffEngine(t, p,
+				exec.WithTracing(trc),
+				exec.WithFaultInjector(func(strand int32) exec.Fault {
+					if armed.Load() && strand == 7 {
+						return exec.FaultPanic
+					}
+					return exec.FaultNone
+				}))
+			defer eng.Close()
+			g, _, err := fwCase.build(algos.ND)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := eng.Submit(g)
-			if err != nil {
+
+			// A disarmed traced run succeeds and stitches normally.
+			if err := eng.Run(g.P); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Wait(); err != nil {
-				t.Fatal(err)
+			trc.Recycle(takeTrace(t, trc))
+
+			armed.Store(true)
+			var spe *exec.StrandPanicError
+			if err := submitTo(eng)(g); !errors.As(err, &spe) {
+				t.Fatalf("traced chaos run returned %v, want *StrandPanicError", err)
 			}
 			tr := takeTrace(t, trc)
 			defer trc.Recycle(tr)
-			strands := g.Exec().NumStrands()
-
-			type frameKey struct{ slot, id int32 }
-			open := make(map[frameKey]int)
-			var starts, ends, dispatches, completes int
-			for _, ev := range tr.Events {
-				if int(ev.Worker) >= tr.Workers {
-					t.Fatalf("event %v on worker %d of %d", ev.Kind, ev.Worker, tr.Workers)
-				}
-				switch ev.Kind {
-				case telemetry.EvRunStart:
-					starts++
-					if int(ev.Arg) != strands {
-						t.Fatalf("EvRunStart carries %d strands, graph has %d", ev.Arg, strands)
-					}
-				case telemetry.EvRunEnd:
-					ends++
-				case telemetry.EvDispatch:
-					dispatches++
-					open[frameKey{ev.Slot, ev.ID}]++
-				case telemetry.EvComplete:
-					completes++
-					k := frameKey{ev.Slot, ev.ID}
-					open[k]--
-					if open[k] < 0 {
-						t.Fatalf("strand %d completed without a dispatch", ev.ID)
-					}
-				case telemetry.EvSteal:
-					if ev.Arg < -1 || ev.Arg >= int64(tr.Workers) {
-						t.Fatalf("steal victim %d out of range [-1, %d)", ev.Arg, tr.Workers)
-					}
-				}
+			if fails := tr.Counts()[telemetry.EvRunFail]; fails != 1 {
+				t.Fatalf("failed run's trace has %d EvRunFail events, want 1", fails)
 			}
-			if starts != 1 || ends != 1 {
-				t.Fatalf("trace has %d EvRunStart and %d EvRunEnd, want 1 and 1", starts, ends)
-			}
-			if dispatches != strands {
-				t.Fatalf("trace has %d dispatches for %d strands", dispatches, strands)
-			}
-			if completes != dispatches {
-				t.Fatalf("%d completes for %d dispatches", completes, dispatches)
-			}
-			for k, n := range open {
-				if n != 0 {
-					t.Fatalf("strand %d (slot %d) left %d unmatched dispatches", k.id, k.slot, n)
-				}
+			if claims := checkAnchors(t, tr); (claims > 0) != (p == exec.PolicyLocality) {
+				t.Fatalf("failed run's trace has %d anchor claims; want some exactly under locality", claims)
 			}
 			checkChromeJSON(t, tr)
 		})
 	}
-}
-
-// TestChaosTraced arms tracing and the fault injector together: the run
-// must still fail typed (panic containment is unchanged by tracing), the
-// stitched trace must record the failure, and the Chrome export must
-// stay well-formed.
-func TestChaosTraced(t *testing.T) {
-	var armed atomic.Bool
-	trc := telemetry.NewTracer()
-	eng := exec.NewEngine(traceWorkers,
-		exec.WithTracing(trc),
-		exec.WithFaultInjector(func(strand int32) exec.Fault {
-			if armed.Load() && strand == 7 {
-				return exec.FaultPanic
-			}
-			return exec.FaultNone
-		}))
-	defer eng.Close()
-	g := fwTraceGraph(t)
-
-	// A disarmed traced run succeeds and stitches normally.
-	if err := eng.Run(g.P); err != nil {
-		t.Fatal(err)
-	}
-	trc.Recycle(takeTrace(t, trc))
-
-	armed.Store(true)
-	r, err := eng.Submit(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = r.Wait()
-	var spe *exec.StrandPanicError
-	if !errors.As(err, &spe) {
-		t.Fatalf("traced chaos run returned %v, want *StrandPanicError", err)
-	}
-	tr := takeTrace(t, trc)
-	defer trc.Recycle(tr)
-	var fails int
-	for _, ev := range tr.Events {
-		if ev.Kind == telemetry.EvRunFail {
-			fails++
-		}
-	}
-	if fails != 1 {
-		t.Fatalf("failed run's trace has %d EvRunFail events, want 1", fails)
-	}
-	checkChromeJSON(t, tr)
 }
 
 // TestTraceDynSuspension runs a dynamic program whose root strand parks
