@@ -42,38 +42,40 @@ const (
 )
 
 // Rules returns the fire-rule set for ND Cholesky, including the solve and
-// matmul rules it builds on.
-func Rules() core.RuleSet {
-	return core.MustMerge(core.RuleSet{
-		FireCT: {
-			// L00's sub-blocks feed their consumers inside the right
-			// solve TRSR(L00, A10): the diagonal sub-factors feed the
-			// sub-solves, the off-diagonal sub-solve feeds the row
-			// updates (as a transposed second operand).
-			core.R("1.1", FireCT, "1.1.1"),
-			core.R("1.1", FireCT, "1.2.1"),
-			core.R("1.2", trs.FireRMB, "1.1.2"),
-			core.R("1.2", trs.FireRMB, "1.2.2"),
-			core.R("2.2", FireCT, "2.1"),
-			core.R("2.2", FireCT, "2.2"),
-		},
-		FireCTMC: {
-			// The solve's output L10 is both operands of the update.
-			core.R("2", trs.FireRM, "1"),
-			core.R("2", trs.FireRMB, "1"),
-		},
-		FireMC: {
-			// The update's final writes per quadrant feed the trailing
-			// factorization: A11_00 → sub-factor, A11_10 → sub-solve
-			// (right-hand side), A11_11 → sub-update (accumulator).
-			// A11_01 is written by the full-square update but never read
-			// by the lower-triangular factorization, so it needs no rule.
-			core.R("2.1.1", FireMC, "1.1"),
-			core.R("2.2.1", trs.FireMR, "1.2"),
-			core.R("2.2.2", matmul.FireSame, "2.1"),
-		},
-	}, trs.RulesRight())
-}
+// matmul rules it builds on. The table is shared and must not be modified.
+func Rules() core.RuleSet { return rules }
+
+var labels = algos.NewLabels("cho")
+
+var rules = core.MustMerge(core.RuleSet{
+	FireCT: {
+		// L00's sub-blocks feed their consumers inside the right
+		// solve TRSR(L00, A10): the diagonal sub-factors feed the
+		// sub-solves, the off-diagonal sub-solve feeds the row
+		// updates (as a transposed second operand).
+		core.R("1.1", FireCT, "1.1.1"),
+		core.R("1.1", FireCT, "1.2.1"),
+		core.R("1.2", trs.FireRMB, "1.1.2"),
+		core.R("1.2", trs.FireRMB, "1.2.2"),
+		core.R("2.2", FireCT, "2.1"),
+		core.R("2.2", FireCT, "2.2"),
+	},
+	FireCTMC: {
+		// The solve's output L10 is both operands of the update.
+		core.R("2", trs.FireRM, "1"),
+		core.R("2", trs.FireRMB, "1"),
+	},
+	FireMC: {
+		// The update's final writes per quadrant feed the trailing
+		// factorization: A11_00 → sub-factor, A11_10 → sub-solve
+		// (right-hand side), A11_11 → sub-update (accumulator).
+		// A11_01 is written by the full-square update but never read
+		// by the lower-triangular factorization, so it needs no rule.
+		core.R("2.1.1", FireMC, "1.1"),
+		core.R("2.2.1", trs.FireMR, "1.2"),
+		core.R("2.2.2", matmul.FireSame, "2.1"),
+	},
+}, trs.RulesRight())
 
 // Tree builds the spawn tree factoring the n×n SPD view a in place.
 // Numerical failures (non-positive pivots) in base-case strands are
@@ -104,7 +106,7 @@ func leaf(a *matrix.Matrix, errSlot *error) *core.Node {
 	n := a.Rows()
 	fp := a.Footprint()
 	return core.NewStrand(
-		fmt.Sprintf("cho%d", n),
+		labels.Size(n),
 		matrix.CholeskyWork(n),
 		fp, fp,
 		func() {
@@ -122,11 +124,7 @@ func New(model algos.Model, a *matrix.Matrix, base int) (*core.Program, *error, 
 		return nil, nil, fmt.Errorf("cholesky: %w", err)
 	}
 	errSlot := new(error)
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = Rules()
-	}
-	prog, err := core.NewProgram(Tree(model, a, base, errSlot), rules)
+	prog, err := core.NewProgram(Tree(model, a, base, errSlot), algos.RulesFor(model, rules))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -56,45 +56,51 @@ const (
 	FireBBBB = "BBBB"
 )
 
-// Rules returns the completed fire-rule set for ND 1-D Floyd–Warshall.
-func Rules() core.RuleSet {
-	return core.RuleSet{
-		FireABAB: {
-			core.R("1", FireAAc, "1"), // A00 corner → A11
-			core.R("1", FireABv, "2"), // A00 column-block → B10 below it
-			core.R("2", FireBAv, "1"), // B01 rows → A11 below it
-		},
-		FireAB: {
-			core.R("1.1", FireAB, "1.1"),
-			core.R("1.1", FireAB, "1.2"),
-			core.R("2.1", FireAB, "2.1"),
-			core.R("2.1", FireAB, "2.2"),
-		},
-		FireAAc: {
-			core.R("2.1", FireAAc, "1.1"),
-			core.R("2.1", FireABc, "1.2"),
-		},
-		FireABc: {
-			core.R("2.1", FireABc, "1.1"),
-			core.R("2.1", FireABc, "1.2"),
-		},
-		FireABv: {
-			core.R("2.2", FireBBv, "1.1"), // source's bottom-left B → sink's top-left B
-			core.R("2.1", FireABv, "1.2"), // source's bottom-right A → sink's top-right B
-		},
-		FireBAv: {
-			core.R("2.1", FireBAv, "1.1"), // matches the paper's BA first rule
-			core.R("2.2", FireBBv, "1.2"), // matches the paper's BA second rule
-		},
-		FireBBv: {
-			core.R("2.1", FireBBv, "1.1"),
-			core.R("2.2", FireBBv, "1.2"),
-		},
-		FireBBBB: {
-			core.R("1", FireBBv, "1"),
-			core.R("2", FireBBv, "2"),
-		},
-	}
+// Rules returns the completed fire-rule set for ND 1-D Floyd–Warshall. The
+// table is shared and must not be modified.
+func Rules() core.RuleSet { return rules }
+
+var (
+	labelsA = algos.NewLabels("fwA")
+	labelsB = algos.NewLabels("fwB")
+)
+
+var rules = core.RuleSet{
+	FireABAB: {
+		core.R("1", FireAAc, "1"), // A00 corner → A11
+		core.R("1", FireABv, "2"), // A00 column-block → B10 below it
+		core.R("2", FireBAv, "1"), // B01 rows → A11 below it
+	},
+	FireAB: {
+		core.R("1.1", FireAB, "1.1"),
+		core.R("1.1", FireAB, "1.2"),
+		core.R("2.1", FireAB, "2.1"),
+		core.R("2.1", FireAB, "2.2"),
+	},
+	FireAAc: {
+		core.R("2.1", FireAAc, "1.1"),
+		core.R("2.1", FireABc, "1.2"),
+	},
+	FireABc: {
+		core.R("2.1", FireABc, "1.1"),
+		core.R("2.1", FireABc, "1.2"),
+	},
+	FireABv: {
+		core.R("2.2", FireBBv, "1.1"), // source's bottom-left B → sink's top-left B
+		core.R("2.1", FireABv, "1.2"), // source's bottom-right A → sink's top-right B
+	},
+	FireBAv: {
+		core.R("2.1", FireBAv, "1.1"), // matches the paper's BA first rule
+		core.R("2.2", FireBBv, "1.2"), // matches the paper's BA second rule
+	},
+	FireBBv: {
+		core.R("2.1", FireBBv, "1.1"),
+		core.R("2.2", FireBBv, "1.2"),
+	},
+	FireBBBB: {
+		core.R("1", FireBBv, "1"),
+		core.R("2", FireBBv, "2"),
+	},
 }
 
 // Op combines the vertical input d(t−1,i) with the diagonal input
@@ -173,35 +179,29 @@ func (inst *Instance) treeB(model algos.Model, lo, hi, c0, c1, base int) *core.N
 
 func (inst *Instance) leafA(lo, hi int) *core.Node {
 	tab := inst.Table
-	block := tab.View(lo, lo, hi-lo, hi-lo)
-	reads := footprint.UnionAll(
-		tab.View(lo-1, lo-1, 1, hi-lo+1).Footprint(), // boundary row incl. corner
-		block.Footprint(),
-	)
+	block := tab.BlockFootprint(lo, lo, hi-lo, hi-lo)
 	return core.NewStrand(
-		fmt.Sprintf("fwA%d", hi-lo),
+		labelsA.Size(hi-lo),
 		int64(hi-lo)*int64(hi-lo),
-		reads,
-		block.Footprint(),
+		footprint.Union(tab.BlockFootprint(lo-1, lo-1, 1, hi-lo+1), block), // boundary row incl. corner
+		block,
 		func() { inst.compute(lo, hi, lo, hi) },
 	)
 }
 
 func (inst *Instance) leafB(lo, hi, c0, c1 int) *core.Node {
 	tab := inst.Table
-	block := tab.View(lo, c0, hi-lo, c1-c0)
-	sets := []footprint.Set{
-		tab.View(lo-1, c0, 1, c1-c0).Footprint(), // boundary row
-		block.Footprint(),
-	}
-	for t := lo; t < hi; t++ { // diagonal inputs d(t−1, t−1)
-		sets = append(sets, tab.View(t-1, t-1, 1, 1).Footprint())
+	block := tab.BlockFootprint(lo, c0, hi-lo, c1-c0)
+	diag := make([]footprint.Interval, 0, hi-lo) // diagonal inputs d(t−1, t−1)
+	for t := lo; t < hi; t++ {
+		w := tab.Addr(t-1, t-1)
+		diag = append(diag, footprint.Interval{Lo: w, Hi: w + 1})
 	}
 	return core.NewStrand(
-		fmt.Sprintf("fwB%d", hi-lo),
+		labelsB.Size(hi-lo),
 		int64(hi-lo)*int64(c1-c0),
-		footprint.UnionAll(sets...),
-		block.Footprint(),
+		footprint.UnionAll(tab.BlockFootprint(lo-1, c0, 1, c1-c0), block, footprint.New(diag...)), // boundary row, own block, diagonal
+		block,
 		func() { inst.compute(lo, hi, c0, c1) },
 	)
 }
@@ -221,11 +221,7 @@ func New(model algos.Model, inst *Instance, base int) (*core.Program, error) {
 	if err := algos.CheckPow2(inst.N, base); err != nil {
 		return nil, fmt.Errorf("fw: %w", err)
 	}
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = Rules()
-	}
-	return core.NewProgram(inst.treeA(model, 1, inst.N+1, base), rules)
+	return core.NewProgram(inst.treeA(model, 1, inst.N+1, base), algos.RulesFor(model, rules))
 }
 
 // Serial fills the table time step by time step; the reference.

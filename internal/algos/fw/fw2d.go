@@ -56,7 +56,7 @@ func (a *APSP) Tree(base int) *core.Node {
 
 func (a *APSP) treeA(x *matrix.Matrix, base int) *core.Node {
 	if x.Rows() <= base {
-		return a.leaf("fwA2", x, x, x)
+		return a.leaf(labelsA2, x, x, x)
 	}
 	x00, x01, x10, x11 := x.Quad(0, 0), x.Quad(0, 1), x.Quad(1, 0), x.Quad(1, 1)
 	return core.NewSeq(
@@ -72,7 +72,7 @@ func (a *APSP) treeA(x *matrix.Matrix, base int) *core.Node {
 // treeB updates X (same rows as the diagonal block D: U = D, V = X).
 func (a *APSP) treeB(x, d *matrix.Matrix, base int) *core.Node {
 	if x.Rows() <= base {
-		return a.leaf("fwB2", x, d, x)
+		return a.leaf(labelsB2, x, d, x)
 	}
 	x00, x01, x10, x11 := x.Quad(0, 0), x.Quad(0, 1), x.Quad(1, 0), x.Quad(1, 1)
 	d00, d01, d10, d11 := d.Quad(0, 0), d.Quad(0, 1), d.Quad(1, 0), d.Quad(1, 1)
@@ -87,7 +87,7 @@ func (a *APSP) treeB(x, d *matrix.Matrix, base int) *core.Node {
 // treeC updates X (same columns as the diagonal block D: U = X, V = D).
 func (a *APSP) treeC(x, d *matrix.Matrix, base int) *core.Node {
 	if x.Rows() <= base {
-		return a.leaf("fwC2", x, x, d)
+		return a.leaf(labelsC2, x, x, d)
 	}
 	x00, x01, x10, x11 := x.Quad(0, 0), x.Quad(0, 1), x.Quad(1, 0), x.Quad(1, 1)
 	d00, d01, d10, d11 := d.Quad(0, 0), d.Quad(0, 1), d.Quad(1, 0), d.Quad(1, 1)
@@ -102,7 +102,7 @@ func (a *APSP) treeC(x, d *matrix.Matrix, base int) *core.Node {
 // treeD updates X from independent row and column sources.
 func (a *APSP) treeD(x, u, v *matrix.Matrix, base int) *core.Node {
 	if x.Rows() <= base {
-		return a.leaf("fwD2", x, u, v)
+		return a.leaf(labelsD2, x, u, v)
 	}
 	x00, x01, x10, x11 := x.Quad(0, 0), x.Quad(0, 1), x.Quad(1, 0), x.Quad(1, 1)
 	u00, u01, u10, u11 := u.Quad(0, 0), u.Quad(0, 1), u.Quad(1, 0), u.Quad(1, 1)
@@ -119,10 +119,17 @@ func (a *APSP) treeD(x, u, v *matrix.Matrix, base int) *core.Node {
 	)
 }
 
-func (a *APSP) leaf(label string, x, u, v *matrix.Matrix) *core.Node {
+var (
+	labelsA2 = algos.NewLabels("fwA2-")
+	labelsB2 = algos.NewLabels("fwB2-")
+	labelsC2 = algos.NewLabels("fwC2-")
+	labelsD2 = algos.NewLabels("fwD2-")
+)
+
+func (a *APSP) leaf(labels *algos.Labels, x, u, v *matrix.Matrix) *core.Node {
 	m := x.Rows()
 	return core.NewStrand(
-		fmt.Sprintf("%s-%d", label, m),
+		labels.Size(m),
 		2*int64(m)*int64(m)*int64(m),
 		matrix.Footprints(x, u, v),
 		x.Footprint(),

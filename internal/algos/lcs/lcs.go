@@ -40,37 +40,40 @@ const (
 	FireV = "V"
 )
 
-// Rules returns the fire-rule set for ND LCS (Eqs. 18–21 of the paper).
-func Rules() core.RuleSet {
-	return core.RuleSet{
-		FireHV: {
-			core.R("", FireH, "1"),
-			core.R("", FireV, "2"),
-		},
-		FireVH: {
-			// X01 is directly above X11 and X10 directly to its left
-			// (Figure 11a). The source of VH~> is the HV~> node, whose
-			// second child is (X01 ‖ X10), so their pedigrees are 2.1 and
-			// 2.2. (The preprint's Eq. 19 prints them as 1 and 2, which
-			// aims the refinements at X00 and the ‖ node and drops
-			// vertical dependencies at recursion depth ≥ 3; the deps
-			// validator rejects that variant.)
-			core.R("2.1", FireV, ""),
-			core.R("2.2", FireH, ""),
-		},
-		FireH: {
-			// Source's right-column halves feed the sink's left-column
-			// halves, row-aligned: X01 → sink X00, X11 → sink X10.
-			core.R("1.2.1", FireH, "1.1"),
-			core.R("2", FireH, "1.2.2"),
-		},
-		FireV: {
-			// Source's bottom-row halves feed the sink's top-row halves,
-			// column-aligned: X10 → sink X00, X11 → sink X01.
-			core.R("1.2.2", FireV, "1.1"),
-			core.R("2", FireV, "1.2.1"),
-		},
-	}
+// Rules returns the fire-rule set for ND LCS (Eqs. 18–21 of the paper). The
+// table is shared and must not be modified.
+func Rules() core.RuleSet { return rules }
+
+var labels = algos.NewLabels("lcs")
+
+var rules = core.RuleSet{
+	FireHV: {
+		core.R("", FireH, "1"),
+		core.R("", FireV, "2"),
+	},
+	FireVH: {
+		// X01 is directly above X11 and X10 directly to its left
+		// (Figure 11a). The source of VH~> is the HV~> node, whose
+		// second child is (X01 ‖ X10), so their pedigrees are 2.1 and
+		// 2.2. (The preprint's Eq. 19 prints them as 1 and 2, which
+		// aims the refinements at X00 and the ‖ node and drops
+		// vertical dependencies at recursion depth ≥ 3; the deps
+		// validator rejects that variant.)
+		core.R("2.1", FireV, ""),
+		core.R("2.2", FireH, ""),
+	},
+	FireH: {
+		// Source's right-column halves feed the sink's left-column
+		// halves, row-aligned: X01 → sink X00, X11 → sink X10.
+		core.R("1.2.1", FireH, "1.1"),
+		core.R("2", FireH, "1.2.2"),
+	},
+	FireV: {
+		// Source's bottom-row halves feed the sink's top-row halves,
+		// column-aligned: X10 → sink X00, X11 → sink X01.
+		core.R("1.2.2", FireV, "1.1"),
+		core.R("2", FireV, "1.2.1"),
+	},
 }
 
 // Instance holds the DP table and the two sequences. The table has an
@@ -127,19 +130,19 @@ func (inst *Instance) Tree(model algos.Model, r0, c0, size, base int) *core.Node
 
 func (inst *Instance) leaf(r0, c0, size int) *core.Node {
 	tab := inst.Table
-	block := tab.View(r0, c0, size, size)
+	block := tab.BlockFootprint(r0, c0, size, size)
 	reads := footprint.UnionAll(
-		tab.View(r0-1, c0-1, 1, size+1).Footprint(), // row above, incl. corner
-		tab.View(r0, c0-1, size, 1).Footprint(),     // column to the left
-		block.Footprint(),                           // own block (rows beyond the first read earlier rows)
-		inst.S.View(0, r0, 1, size).Footprint(),
-		inst.T.View(0, c0, 1, size).Footprint(),
+		tab.BlockFootprint(r0-1, c0-1, 1, size+1), // row above, incl. corner
+		tab.BlockFootprint(r0, c0-1, size, 1),     // column to the left
+		block,                                     // own block (rows beyond the first read earlier rows)
+		inst.S.BlockFootprint(0, r0, 1, size),
+		inst.T.BlockFootprint(0, c0, 1, size),
 	)
 	return core.NewStrand(
-		fmt.Sprintf("lcs%d", size),
+		labels.Size(size),
 		int64(size)*int64(size),
 		reads,
-		block.Footprint(),
+		block,
 		func() { inst.computeBlock(r0, c0, size) },
 	)
 }
@@ -165,11 +168,7 @@ func New(model algos.Model, inst *Instance, base int) (*core.Program, error) {
 	if err := algos.CheckPow2(inst.N, base); err != nil {
 		return nil, fmt.Errorf("lcs: %w", err)
 	}
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = Rules()
-	}
-	return core.NewProgram(inst.Tree(model, 1, 1, inst.N, base), rules)
+	return core.NewProgram(inst.Tree(model, 1, 1, inst.N, base), algos.RulesFor(model, rules))
 }
 
 // Serial fills the table with the classic row-major dynamic program;

@@ -20,11 +20,13 @@ package lu
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/algos/matmul"
 	"github.com/ndflow/ndflow/internal/algos/trs"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/footprint"
 	"github.com/ndflow/ndflow/internal/matrix"
 )
 
@@ -33,14 +35,14 @@ import (
 const FireTU = "TU"
 
 // Rules returns the fire-rule set for ND LU, including the solve and
-// matmul rules it builds on.
-func Rules() core.RuleSet {
-	return core.MustMerge(core.RuleSet{
-		FireTU: {
-			core.R("", trs.FireTM, "*"),
-		},
-	}, trs.Rules())
-}
+// matmul rules it builds on. The table is shared and must not be modified.
+func Rules() core.RuleSet { return rules }
+
+var rules = core.MustMerge(core.RuleSet{
+	FireTU: {
+		core.R("", trs.FireTM, "*"),
+	},
+}, trs.Rules())
 
 // Instance is an in-place LU factorization problem: after execution A
 // holds the packed factors (unit L strictly below the diagonal, U on and
@@ -124,9 +126,9 @@ func (inst *Instance) pivotApply(b, piv *matrix.Matrix, npiv int) *core.Node {
 		chunk := b.View(0, c0, b.Rows(), width)
 		fp := chunk.Footprint()
 		chunks = append(chunks, core.NewStrand(
-			fmt.Sprintf("piv%dx%d", b.Rows(), width),
+			label("piv", b.Rows(), width),
 			int64(npiv)*int64(width),
-			matrix.Footprints(chunk, piv),
+			footprint.Union(fp, piv.Footprint()),
 			fp,
 			func() {
 				for j := 0; j < npiv; j++ {
@@ -161,11 +163,12 @@ func (inst *Instance) updateChunks(model algos.Model, a1, a2 *matrix.Matrix, w2 
 
 func (inst *Instance) panelLeaf(a, piv *matrix.Matrix) *core.Node {
 	m, w := a.Rows(), a.Cols()
+	reads := a.Footprint()
 	return core.NewStrand(
-		fmt.Sprintf("panel%dx%d", m, w),
+		label("panel", m, w),
 		matrix.LUPanelWork(m, w),
-		a.Footprint(),
-		matrix.Footprints(a, piv),
+		reads,
+		footprint.Union(reads, piv.Footprint()),
 		func() {
 			tmp := make([]int, w)
 			if err := matrix.LUPanel(a, tmp); err != nil {
@@ -181,13 +184,15 @@ func (inst *Instance) panelLeaf(a, piv *matrix.Matrix) *core.Node {
 	)
 }
 
+// label names a rows×cols strand; LU's blocks are not square, so the
+// shared power-of-two tables do not apply.
+func label(prefix string, rows, cols int) string {
+	return prefix + strconv.Itoa(rows) + "x" + strconv.Itoa(cols)
+}
+
 // New builds a complete program factoring the instance in place.
 func New(model algos.Model, inst *Instance) (*core.Program, error) {
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = Rules()
-	}
-	return core.NewProgram(inst.tree(model, inst.A, inst.Piv), rules)
+	return core.NewProgram(inst.tree(model, inst.A, inst.Piv), algos.RulesFor(model, rules))
 }
 
 // Serial factors the instance with the identical recursion executed

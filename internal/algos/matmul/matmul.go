@@ -26,6 +26,7 @@ import (
 
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/footprint"
 	"github.com/ndflow/ndflow/internal/matrix"
 )
 
@@ -40,27 +41,31 @@ const (
 	FireSame = "MM"
 )
 
-// Rules returns the fire-rule set for ND matrix multiplication.
-func Rules() core.RuleSet {
-	return core.RuleSet{
-		FireGroups: {
-			// Same C quadrant, group 1 → group 2, refined by FireSame.
-			core.R("1.1", FireSame, "1.1"),
-			core.R("1.2", FireSame, "1.2"),
-			core.R("2.1", FireSame, "2.1"),
-			core.R("2.2", FireSame, "2.2"),
-		},
-		FireSame: {
-			// Source's final (group-2) updates feed the sink's first
-			// (group-1) updates of the same C sub-quadrant; the sink's own
-			// FireGroups construct orders its group 2 transitively.
-			core.R("2.1.1", FireSame, "1.1.1"),
-			core.R("2.1.2", FireSame, "1.1.2"),
-			core.R("2.2.1", FireSame, "1.2.1"),
-			core.R("2.2.2", FireSame, "1.2.2"),
-		},
-	}
+// rules is parsed once, at package initialization; builds share it.
+var rules = core.RuleSet{
+	FireGroups: {
+		// Same C quadrant, group 1 → group 2, refined by FireSame.
+		core.R("1.1", FireSame, "1.1"),
+		core.R("1.2", FireSame, "1.2"),
+		core.R("2.1", FireSame, "2.1"),
+		core.R("2.2", FireSame, "2.2"),
+	},
+	FireSame: {
+		// Source's final (group-2) updates feed the sink's first
+		// (group-1) updates of the same C sub-quadrant; the sink's own
+		// FireGroups construct orders its group 2 transitively.
+		core.R("2.1.1", FireSame, "1.1.1"),
+		core.R("2.1.2", FireSame, "1.1.2"),
+		core.R("2.2.1", FireSame, "1.2.1"),
+		core.R("2.2.2", FireSame, "1.2.2"),
+	},
 }
+
+var labels = algos.NewLabels("mm")
+
+// Rules returns the fire-rule set for ND matrix multiplication. The table
+// is shared by every program built from it and must not be modified.
+func Rules() core.RuleSet { return rules }
 
 // Tree builds the spawn tree for C += sign·A·B with square power-of-two
 // operands and base-case side length base. The returned tree can be
@@ -74,10 +79,11 @@ func Tree(model algos.Model, c, a, b *matrix.Matrix, sign float64, base int) *co
 	if n <= base {
 		return leaf(c, a, b, sign)
 	}
+	cq, aq, bq := quads(c), quads(a), quads(b) // each view is shared by two sub-multiplies
 	group := func(k int) *core.Node {
 		// Group k ∈ {0,1} computes C_ij += A_ik · B_kj for all i, j.
 		sub := func(i, j int) *core.Node {
-			return Tree(model, c.Quad(i, j), a.Quad(i, k), b.Quad(k, j), sign, base)
+			return Tree(model, cq[i][j], aq[i][k], bq[k][j], sign, base)
 		}
 		return core.NewPar(
 			core.NewPar(sub(0, 0), sub(0, 1)),
@@ -91,12 +97,15 @@ func Tree(model algos.Model, c, a, b *matrix.Matrix, sign float64, base int) *co
 	return core.NewFire(FireGroups, g1, g2)
 }
 
+func quads(m *matrix.Matrix) [2][2]*matrix.Matrix {
+	return [2][2]*matrix.Matrix{{m.Quad(0, 0), m.Quad(0, 1)}, {m.Quad(1, 0), m.Quad(1, 1)}}
+}
+
 func leaf(c, a, b *matrix.Matrix, sign float64) *core.Node {
 	n := c.Rows()
-	label := fmt.Sprintf("mm%d", n)
-	reads := matrix.Footprints(a, b, c) // accumulation reads C as well
 	writes := c.Footprint()
-	return core.NewStrand(label, matrix.MulAddWork(n, a.Cols(), n), reads, writes, func() {
+	reads := footprint.UnionAll(a.Footprint(), b.Footprint(), writes) // accumulation reads C as well
+	return core.NewStrand(labels.Size(n), matrix.MulAddWork(n, a.Cols(), n), reads, writes, func() {
 		matrix.MulAdd(c, a, b, sign)
 	})
 }
@@ -106,11 +115,7 @@ func New(model algos.Model, c, a, b *matrix.Matrix, sign float64, base int) (*co
 	if err := algos.CheckPow2(c.Rows(), base); err != nil {
 		return nil, fmt.Errorf("matmul: %w", err)
 	}
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = Rules()
-	}
-	return core.NewProgram(Tree(model, c, a, b, sign, base), rules)
+	return core.NewProgram(Tree(model, c, a, b, sign, base), algos.RulesFor(model, rules))
 }
 
 // Serial computes C += sign·A·B directly; the reference implementation the

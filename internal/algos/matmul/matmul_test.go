@@ -78,8 +78,8 @@ func TestNDArrowCount(t *testing.T) {
 	}
 	g := core.MustRewrite(prog)
 	leaves := len(prog.Leaves)
-	if len(g.Arrows) >= leaves*leaves/4 {
-		t.Errorf("DRS materialized %d arrows for %d leaves; expected sparse rewriting", len(g.Arrows), leaves)
+	if arrows := len(g.SortedArrows()); arrows >= leaves*leaves/4 {
+		t.Errorf("DRS materialized %d arrows for %d leaves; expected sparse rewriting", arrows, leaves)
 	}
 }
 

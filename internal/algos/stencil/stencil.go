@@ -43,33 +43,36 @@ const (
 	FireSR = "SR"
 )
 
-// Rules returns the fire-rule set for the ND upwind stencil.
-func Rules() core.RuleSet {
-	return core.RuleSet{
-		FireSS: {
-			// Band halves: vertical per column half, plus the up-left
-			// diagonal into the sink's right half.
-			core.R("1", FireSV, "1"),
-			core.R("2", FireSV, "2"),
-			core.R("1", FireSR, "2"),
-		},
-		FireSH: {
-			// The source's right-column halves feed the sink's left
-			// column, row-aligned; the source's top-right also feeds the
-			// sink's bottom-left (the skew crosses the row boundary).
-			core.R("1.2", FireSH, "1.1"),
-			core.R("2.2", FireSH, "2.1"),
-			core.R("1.2", FireSR, "2.1"),
-		},
-		FireSV: {
-			core.R("2.1", FireSV, "1.1"),
-			core.R("2.2", FireSV, "1.2"),
-			core.R("2.1", FireSR, "1.2"),
-		},
-		FireSR: {
-			core.R("2.2", FireSR, "1.1"),
-		},
-	}
+// Rules returns the fire-rule set for the ND upwind stencil. The table is
+// shared and must not be modified.
+func Rules() core.RuleSet { return rules }
+
+var labels = algos.NewLabels("st")
+
+var rules = core.RuleSet{
+	FireSS: {
+		// Band halves: vertical per column half, plus the up-left
+		// diagonal into the sink's right half.
+		core.R("1", FireSV, "1"),
+		core.R("2", FireSV, "2"),
+		core.R("1", FireSR, "2"),
+	},
+	FireSH: {
+		// The source's right-column halves feed the sink's left
+		// column, row-aligned; the source's top-right also feeds the
+		// sink's bottom-left (the skew crosses the row boundary).
+		core.R("1.2", FireSH, "1.1"),
+		core.R("2.2", FireSH, "2.1"),
+		core.R("1.2", FireSR, "2.1"),
+	},
+	FireSV: {
+		core.R("2.1", FireSV, "1.1"),
+		core.R("2.2", FireSV, "1.2"),
+		core.R("2.1", FireSR, "1.2"),
+	},
+	FireSR: {
+		core.R("2.2", FireSR, "1.1"),
+	},
 }
 
 // Op combines the two stencil inputs. Deterministic and asymmetric so
@@ -130,20 +133,20 @@ func (inst *Instance) tree(model algos.Model, lo, hi, c0, c1, base int) *core.No
 
 func (inst *Instance) leaf(lo, hi, c0, c1 int) *core.Node {
 	tab := inst.Table
-	block := tab.View(lo, c0, hi-lo, c1-c0)
+	block := tab.BlockFootprint(lo, c0, hi-lo, c1-c0)
 	// Row t reads (t−1, c0−1..c1−1): the row above plus the left column
 	// at rows lo−1 .. hi−2 (never later rows, which would declare false
 	// conflicts with the block below the left neighbour).
 	reads := footprint.UnionAll(
-		tab.View(lo-1, c0-1, 1, c1-c0+1).Footprint(), // row above incl. left corner
-		tab.View(lo-1, c0-1, hi-lo, 1).Footprint(),   // left column, rows lo−1..hi−2
-		block.Footprint(),
+		tab.BlockFootprint(lo-1, c0-1, 1, c1-c0+1), // row above incl. left corner
+		tab.BlockFootprint(lo-1, c0-1, hi-lo, 1),   // left column, rows lo−1..hi−2
+		block,
 	)
 	return core.NewStrand(
-		fmt.Sprintf("st%d", hi-lo),
+		labels.Size(hi-lo),
 		int64(hi-lo)*int64(c1-c0),
 		reads,
-		block.Footprint(),
+		block,
 		func() { inst.compute(lo, hi, c0, c1) },
 	)
 }
@@ -162,11 +165,7 @@ func New(model algos.Model, inst *Instance, base int) (*core.Program, error) {
 	if err := algos.CheckPow2(inst.N, base); err != nil {
 		return nil, fmt.Errorf("stencil: %w", err)
 	}
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = Rules()
-	}
-	return core.NewProgram(inst.tree(model, 1, inst.N+1, 1, inst.N+1, base), rules)
+	return core.NewProgram(inst.tree(model, 1, inst.N+1, 1, inst.N+1, base), algos.RulesFor(model, rules))
 }
 
 // Serial fills the table row by row; the reference implementation.

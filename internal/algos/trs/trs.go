@@ -23,6 +23,7 @@ import (
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/algos/matmul"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/footprint"
 	"github.com/ndflow/ndflow/internal/matrix"
 )
 
@@ -39,38 +40,43 @@ const (
 )
 
 // Rules returns the fire-rule set for the ND left solve, including the
-// matmul rules it builds on.
-func Rules() core.RuleSet {
-	return core.MustMerge(core.RuleSet{
-		FirePair: {
-			// Each column's multiply feeds the solve below it (Eq. 5).
-			core.R("1.2", FireMT, "1"),
-			core.R("2.2", FireMT, "2"),
-		},
-		FireTM: {
-			// Solve of X quadrant → multiplies reading that quadrant.
-			// Matches the paper's Eq. (8) first block exactly.
-			core.R("1.1.1", FireTM, "1.1.1"),
-			core.R("1.1.1", FireTM, "1.2.1"),
-			core.R("1.2.1", FireTM, "1.1.2"),
-			core.R("1.2.1", FireTM, "1.2.2"),
-			core.R("2.1", FireTM, "2.1.1"),
-			core.R("2.1", FireTM, "2.2.1"),
-			core.R("2.2", FireTM, "2.1.2"),
-			core.R("2.2", FireTM, "2.2.2"),
-		},
-		FireMT: {
-			// The multiply's final (group-2) update of each accumulator
-			// quadrant feeds that quadrant's first consumer in the solve:
-			// the top-left/top-right sub-solves for B00/B01 and the
-			// column multiplies for B10/B11 (re-derived; see package doc).
-			core.R("2.1.1", FireMT, "1.1.1"),
-			core.R("2.1.2", FireMT, "1.2.1"),
-			core.R("2.2.1", matmul.FireSame, "1.1.2"),
-			core.R("2.2.2", matmul.FireSame, "1.2.2"),
-		},
-	}, matmul.Rules())
-}
+// matmul rules it builds on. The table is shared and must not be modified.
+func Rules() core.RuleSet { return rules }
+
+var (
+	labelsLeft  = algos.NewLabels("trs")
+	labelsRight = algos.NewLabels("trsr")
+)
+
+var rules = core.MustMerge(core.RuleSet{
+	FirePair: {
+		// Each column's multiply feeds the solve below it (Eq. 5).
+		core.R("1.2", FireMT, "1"),
+		core.R("2.2", FireMT, "2"),
+	},
+	FireTM: {
+		// Solve of X quadrant → multiplies reading that quadrant.
+		// Matches the paper's Eq. (8) first block exactly.
+		core.R("1.1.1", FireTM, "1.1.1"),
+		core.R("1.1.1", FireTM, "1.2.1"),
+		core.R("1.2.1", FireTM, "1.1.2"),
+		core.R("1.2.1", FireTM, "1.2.2"),
+		core.R("2.1", FireTM, "2.1.1"),
+		core.R("2.1", FireTM, "2.2.1"),
+		core.R("2.2", FireTM, "2.1.2"),
+		core.R("2.2", FireTM, "2.2.2"),
+	},
+	FireMT: {
+		// The multiply's final (group-2) update of each accumulator
+		// quadrant feeds that quadrant's first consumer in the solve:
+		// the top-left/top-right sub-solves for B00/B01 and the
+		// column multiplies for B10/B11 (re-derived; see package doc).
+		core.R("2.1.1", FireMT, "1.1.1"),
+		core.R("2.1.2", FireMT, "1.2.1"),
+		core.R("2.2.1", matmul.FireSame, "1.1.2"),
+		core.R("2.2.2", matmul.FireSame, "1.2.2"),
+	},
+}, matmul.Rules())
 
 // Tree builds the spawn tree solving T·X = B in place on B, where T is the
 // n×n lower-triangular view and B is n×n. If unit is true the diagonal of
@@ -105,11 +111,12 @@ func Tree(model algos.Model, t, b *matrix.Matrix, base int, unit bool) *core.Nod
 
 func leafLeft(t, b *matrix.Matrix, unit bool) *core.Node {
 	n := t.Rows()
+	writes := b.Footprint()
 	return core.NewStrand(
-		fmt.Sprintf("trs%d", n),
+		labelsLeft.Size(n),
 		matrix.SolveLowerLeftWork(n, b.Cols()),
-		matrix.Footprints(t, b),
-		b.Footprint(),
+		footprint.Union(t.Footprint(), writes),
+		writes,
 		func() {
 			if unit {
 				matrix.SolveUnitLowerLeft(t, b)
@@ -125,11 +132,7 @@ func New(model algos.Model, t, b *matrix.Matrix, base int) (*core.Program, error
 	if err := algos.CheckPow2(t.Rows(), base); err != nil {
 		return nil, fmt.Errorf("trs: %w", err)
 	}
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = Rules()
-	}
-	return core.NewProgram(Tree(model, t, b, base, false), rules)
+	return core.NewProgram(Tree(model, t, b, base, false), algos.RulesFor(model, rules))
 }
 
 // Serial solves T·X = B in place on B; the reference implementation.

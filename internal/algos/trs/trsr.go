@@ -6,6 +6,7 @@ import (
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/algos/matmul"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/footprint"
 	"github.com/ndflow/ndflow/internal/matrix"
 )
 
@@ -25,50 +26,51 @@ const (
 )
 
 // RulesRight returns the fire-rule set for the ND right solve, including
-// the matmul rules it builds on.
-func RulesRight() core.RuleSet {
-	return core.MustMerge(core.RuleSet{
-		FirePairR: {
-			core.R("1.2", FireMR, "1"),
-			core.R("2.2", FireMR, "2"),
-		},
-		FireRM: {
-			// Solve produces X quadrants at 1.1.1 (X00), 1.2.1 (X10),
-			// 2.1 (X01), 2.2 (X11); the multiply's first operand A uses
-			// A00 at {1.1.1, 1.1.2}, A10 at {1.2.1, 1.2.2}, A01 at
-			// {2.1.1, 2.1.2}, A11 at {2.2.1, 2.2.2}.
-			core.R("1.1.1", FireRM, "1.1.1"),
-			core.R("1.1.1", FireRM, "1.1.2"),
-			core.R("1.2.1", FireRM, "1.2.1"),
-			core.R("1.2.1", FireRM, "1.2.2"),
-			core.R("2.1", FireRM, "2.1.1"),
-			core.R("2.1", FireRM, "2.1.2"),
-			core.R("2.2", FireRM, "2.2.1"),
-			core.R("2.2", FireRM, "2.2.2"),
-		},
-		FireRMB: {
-			// The multiply's second operand is the solve output
-			// transposed, so B_kj = X_jkᵀ: B00 = X00ᵀ from 1.1.1,
-			// B01 = X10ᵀ from 1.2.1, B10 = X01ᵀ from 2.1, B11 = X11ᵀ
-			// from 2.2. The table coincides with FireTM's but recurses
-			// with right-solve source shapes.
-			core.R("1.1.1", FireRMB, "1.1.1"),
-			core.R("1.1.1", FireRMB, "1.2.1"),
-			core.R("1.2.1", FireRMB, "1.1.2"),
-			core.R("1.2.1", FireRMB, "1.2.2"),
-			core.R("2.1", FireRMB, "2.1.1"),
-			core.R("2.1", FireRMB, "2.2.1"),
-			core.R("2.2", FireRMB, "2.1.2"),
-			core.R("2.2", FireRMB, "2.2.2"),
-		},
-		FireMR: {
-			core.R("2.1.1", FireMR, "1.1.1"),
-			core.R("2.1.2", matmul.FireSame, "1.1.2"),
-			core.R("2.2.1", FireMR, "1.2.1"),
-			core.R("2.2.2", matmul.FireSame, "1.2.2"),
-		},
-	}, matmul.Rules())
-}
+// the matmul rules it builds on. The table is shared and must not be
+// modified.
+func RulesRight() core.RuleSet { return rulesRight }
+
+var rulesRight = core.MustMerge(core.RuleSet{
+	FirePairR: {
+		core.R("1.2", FireMR, "1"),
+		core.R("2.2", FireMR, "2"),
+	},
+	FireRM: {
+		// Solve produces X quadrants at 1.1.1 (X00), 1.2.1 (X10),
+		// 2.1 (X01), 2.2 (X11); the multiply's first operand A uses
+		// A00 at {1.1.1, 1.1.2}, A10 at {1.2.1, 1.2.2}, A01 at
+		// {2.1.1, 2.1.2}, A11 at {2.2.1, 2.2.2}.
+		core.R("1.1.1", FireRM, "1.1.1"),
+		core.R("1.1.1", FireRM, "1.1.2"),
+		core.R("1.2.1", FireRM, "1.2.1"),
+		core.R("1.2.1", FireRM, "1.2.2"),
+		core.R("2.1", FireRM, "2.1.1"),
+		core.R("2.1", FireRM, "2.1.2"),
+		core.R("2.2", FireRM, "2.2.1"),
+		core.R("2.2", FireRM, "2.2.2"),
+	},
+	FireRMB: {
+		// The multiply's second operand is the solve output
+		// transposed, so B_kj = X_jkᵀ: B00 = X00ᵀ from 1.1.1,
+		// B01 = X10ᵀ from 1.2.1, B10 = X01ᵀ from 2.1, B11 = X11ᵀ
+		// from 2.2. The table coincides with FireTM's but recurses
+		// with right-solve source shapes.
+		core.R("1.1.1", FireRMB, "1.1.1"),
+		core.R("1.1.1", FireRMB, "1.2.1"),
+		core.R("1.2.1", FireRMB, "1.1.2"),
+		core.R("1.2.1", FireRMB, "1.2.2"),
+		core.R("2.1", FireRMB, "2.1.1"),
+		core.R("2.1", FireRMB, "2.2.1"),
+		core.R("2.2", FireRMB, "2.1.2"),
+		core.R("2.2", FireRMB, "2.2.2"),
+	},
+	FireMR: {
+		core.R("2.1.1", FireMR, "1.1.1"),
+		core.R("2.1.2", matmul.FireSame, "1.1.2"),
+		core.R("2.2.1", FireMR, "1.2.1"),
+		core.R("2.2.2", matmul.FireSame, "1.2.2"),
+	},
+}, matmul.Rules())
 
 // TreeRight builds the spawn tree solving X·Lᵀ = B in place on B, where L
 // is the n×n lower-triangular view and B is n×n.
@@ -102,11 +104,12 @@ func TreeRight(model algos.Model, l, b *matrix.Matrix, base int) *core.Node {
 
 func leafRight(l, b *matrix.Matrix) *core.Node {
 	n := l.Rows()
+	writes := b.Footprint()
 	return core.NewStrand(
-		fmt.Sprintf("trsr%d", n),
+		labelsRight.Size(n),
 		matrix.SolveLowerRightTWork(n, b.Rows()),
-		matrix.Footprints(l, b),
-		b.Footprint(),
+		footprint.Union(l.Footprint(), writes),
+		writes,
 		func() { matrix.SolveLowerRightT(l, b) },
 	)
 }
@@ -116,11 +119,7 @@ func NewRight(model algos.Model, l, b *matrix.Matrix, base int) (*core.Program, 
 	if err := algos.CheckPow2(l.Rows(), base); err != nil {
 		return nil, fmt.Errorf("trs: %w", err)
 	}
-	rules := core.RuleSet{}
-	if model == algos.ND {
-		rules = RulesRight()
-	}
-	return core.NewProgram(TreeRight(model, l, b, base), rules)
+	return core.NewProgram(TreeRight(model, l, b, base), algos.RulesFor(model, rulesRight))
 }
 
 // SerialRight solves X·Lᵀ = B in place on B; the reference implementation.

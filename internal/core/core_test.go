@@ -70,17 +70,18 @@ func TestPaperFigure3(t *testing.T) {
 	}
 
 	// Arrows: A→B and C→D from the serial nodes, plus A→C from the rule.
-	if len(g.Arrows) != 3 {
-		t.Fatalf("got %d arrows %v, want 3", len(g.Arrows), g.Arrows)
+	arrows := g.SortedArrows()
+	if len(arrows) != 3 {
+		t.Fatalf("got %d arrows %v, want 3", len(arrows), arrows)
 	}
 	found := false
-	for _, ar := range g.Arrows {
+	for _, ar := range arrows {
 		if ar.From == a && ar.To == c {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("missing fire-induced arrow A→C in %v", g.Arrows)
+		t.Fatalf("missing fire-induced arrow A→C in %v", arrows)
 	}
 
 	// T1 = 17. Span: max(A+B, A+C+D) = max(8, 12) = 12 (see §2 work-span
@@ -130,8 +131,8 @@ func TestFireAsPar(t *testing.T) {
 	rules := RuleSet{"P": nil}
 	p := mustProgram(t, NewFire("P", strand("a", 10), strand("b", 20)), rules)
 	g := MustRewrite(p)
-	if len(g.Arrows) != 0 {
-		t.Fatalf("arrows = %v, want none", g.Arrows)
+	if arrows := g.SortedArrows(); len(arrows) != 0 {
+		t.Fatalf("arrows = %v, want none", arrows)
 	}
 	if s := g.Span(); s != 20 {
 		t.Fatalf("span = %d, want 20", s)
@@ -150,10 +151,11 @@ func TestRecursiveFire(t *testing.T) {
 	g := MustRewrite(p)
 
 	// Expect exactly the four strand-to-strand arrows s_ij → d_ij.
-	if len(g.Arrows) != 4 {
-		t.Fatalf("arrows = %v, want 4", g.Arrows)
+	arrows := g.SortedArrows()
+	if len(arrows) != 4 {
+		t.Fatalf("arrows = %v, want 4", arrows)
 	}
-	for _, a := range g.Arrows {
+	for _, a := range arrows {
 		if a.From.Label[1:] != a.To.Label[1:] {
 			t.Errorf("arrow %s→%s does not preserve position", a.From.Label, a.To.Label)
 		}

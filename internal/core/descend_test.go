@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// TestDescendAllDedup pins the deduplication contract of DescendAll after
-// the seen-set became a linear scan over the result slice: when pedigree
-// components index past strand leaves, distinct paths truncate to the
-// same strand, which must appear once.
+// TestDescendAllDedup pins the deduplication contract of DescendAll, which
+// keeps no seen-set (its frontier is an antichain of a tree): when pedigree
+// components index past strand leaves, paths truncate at the strand, which
+// must appear once. Results are appended after the caller's scratch.
 func TestDescendAllDedup(t *testing.T) {
 	s := strand("s", 1)
 	u := strand("u", 1)
@@ -16,7 +16,7 @@ func TestDescendAllDedup(t *testing.T) {
 
 	// Component 1 visits s and u; component 2 (wildcard) truncates at both
 	// strands and expands nothing — each must stay deduplicated.
-	got, err := root.DescendAll(Pedigree{Wildcard, Wildcard})
+	got, err := root.DescendAll(Pedigree{Wildcard, Wildcard}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestDescendAllDedup(t *testing.T) {
 
 	// Deeper truncation: descending 1.2.2 from the root stops at s on every
 	// expanded path.
-	got, err = root.DescendAll(Pedigree{1, Wildcard, Wildcard})
+	got, err = root.DescendAll(Pedigree{1, Wildcard, Wildcard}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +35,14 @@ func TestDescendAllDedup(t *testing.T) {
 	}
 
 	// Arity errors still surface.
-	if _, err := root.DescendAll(Pedigree{3}); err == nil {
+	if _, err := root.DescendAll(Pedigree{3}, nil); err == nil {
 		t.Fatal("DescendAll past arity should fail")
 	}
 }
 
-// BenchmarkDescendAll measures the DRS-hot wildcard descent on a
-// realistic recursive tree; the allocs/op column is the point — the
-// slice-based seen-set performs one allocation per component (the result
-// slice), not a map per component.
+// BenchmarkDescendAll measures the wildcard descent on a realistic
+// recursive tree; the allocs/op column is the point — with caller-owned
+// scratch it is zero once the scratch has grown.
 func BenchmarkDescendAll(b *testing.B) {
 	// Balanced 4-ary tree of internal Par nodes, depth 4.
 	var build func(depth int) *Node
@@ -62,11 +61,32 @@ func BenchmarkDescendAll(b *testing.B) {
 		b.Fatal(err)
 	}
 	ped := Pedigree{Wildcard, 2, Wildcard}
+	var scratch []*Node
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := root.DescendAll(ped); err != nil {
+		var err error
+		if scratch, err = root.DescendAll(ped, scratch[:0]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDashedSetRegrows drives the DRS's dedup set far past the size it was
+// given, so the regrow path (which ordinary rule sets never reach) keeps
+// every key it had and still tells new keys from old.
+func TestDashedSetRegrows(t *testing.T) {
+	s := newDashedSet(1)
+	const n = 5000
+	for pass := 0; pass < 2; pass++ {
+		for i := int32(0); i < n; i++ {
+			k := dashedKey{typ: i%7 + 1, a: i / 3, b: i * 31}
+			if fresh := s.add(k); fresh != (pass == 0) {
+				t.Fatalf("pass %d: add(%v) = %v", pass, k, fresh)
+			}
+		}
+	}
+	if s.used != n || 3*s.used > 2*len(s.slots) {
+		t.Fatalf("used = %d of %d slots after %d distinct keys", s.used, len(s.slots), n)
 	}
 }

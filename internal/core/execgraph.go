@@ -50,12 +50,13 @@ type ExecGraph struct {
 	prioInit    []int32 // initial-ready strands, deepest first
 }
 
-// NewExecGraph compiles the event graph of p induced by the given dataflow
-// arrows. The tree edges (start/end nesting and strand start→end) are
-// derived from the program; arrows contribute end(From) → start(To).
-// Duplicate arrows produce parallel edges, so callers should deduplicate
-// first (Rewrite does). It fails if the combined graph has a cycle.
-func NewExecGraph(p *Program, arrows []Arrow) (*ExecGraph, error) {
+// newExecGraph compiles the event graph of p induced by the given dataflow
+// arrows (packed node-ID pairs, see Graph.arrows). The tree edges
+// (start/end nesting and strand start→end) are derived from the program;
+// arrows contribute end(From) → start(To). Duplicate arrows produce
+// parallel edges, so Graph.finish deduplicates first. It fails if the
+// combined graph has a cycle.
+func newExecGraph(p *Program, arrows []uint64) (*ExecGraph, error) {
 	if err := checkCSRBounds(int64(len(p.Nodes)), countEventEdges(p, len(arrows))); err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func NewExecGraph(p *Program, arrows []Arrow) (*ExecGraph, error) {
 	}
 	forEachTreeEdge(p, countEdge)
 	for _, a := range arrows {
-		countEdge(EndVertex(a.From), StartVertex(a.To))
+		countEdge(arrowEdge(a))
 	}
 	for v := 0; v < n; v++ {
 		e.succOff[v+1] += e.succOff[v]
@@ -96,7 +97,7 @@ func NewExecGraph(p *Program, arrows []Arrow) (*ExecGraph, error) {
 	}
 	forEachTreeEdge(p, fillEdge)
 	for _, a := range arrows {
-		fillEdge(EndVertex(a.From), StartVertex(a.To))
+		fillEdge(arrowEdge(a))
 	}
 	for v := n; v > 0; v-- {
 		e.succOff[v] = e.succOff[v-1]
@@ -127,24 +128,22 @@ func NewExecGraph(p *Program, arrows []Arrow) (*ExecGraph, error) {
 		}
 	}
 
-	// Kahn topological order over the CSR, verifying acyclicity.
-	indeg := make([]int32, n)
-	copy(indeg, e.indeg0)
-	queue := make([]int32, 0, n)
+	// Kahn topological order over the CSR, verifying acyclicity. A FIFO
+	// queue is dequeued in the order it was filled, which is the order
+	// being built, so topo is its own queue: the tail past head is what
+	// is still waiting.
+	indeg := e.InitIndegrees(nil)
+	topo := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, int32(v))
+			topo = append(topo, int32(v))
 		}
 	}
-	topo := make([]int32, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		topo = append(topo, v)
-		for _, w := range e.Succ(v) {
+	for head := 0; head < len(topo); head++ {
+		for _, w := range e.Succ(topo[head]) {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				topo = append(topo, w)
 			}
 		}
 	}
@@ -161,6 +160,9 @@ func NewExecGraph(p *Program, arrows []Arrow) (*ExecGraph, error) {
 	}
 	return e, nil
 }
+
+// arrowEdge returns the event edge end(From) → start(To) of a packed arrow.
+func arrowEdge(a uint64) (u, v int32) { return int32(a>>32)<<1 | 1, int32(uint32(a)) << 1 }
 
 // countEventEdges returns the total event-graph edge count (tree edges
 // plus dataflow arrows) in 64-bit arithmetic, so the CSR bounds check

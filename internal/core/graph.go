@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Arrow is a solid dataflow arrow between two spawn tree nodes: the task To
@@ -31,9 +31,11 @@ type Arrow struct {
 // delegate to it, and performance-sensitive consumers use Exec() directly.
 type Graph struct {
 	P *Program
-	// Arrows holds the materialized dataflow arrows, sorted by
-	// (From.ID, To.ID) and deduplicated once the graph is finished.
-	Arrows []Arrow
+
+	// arrows holds the dataflow arrows as node-ID pairs packed
+	// From.ID<<32 | To.ID, so sorting by (From.ID, To.ID) is a plain
+	// integer sort; sorted and deduplicated once the graph is finished.
+	arrows []uint64
 
 	eg *ExecGraph
 }
@@ -72,10 +74,6 @@ func (g *Graph) VertexNode(v int32) (n *Node, isEnd bool) {
 // the strand's work on start→end edges of strands, zero otherwise.
 func (g *Graph) EdgeWeight(u, v int32) int64 { return g.eg.EdgeWeight(u, v) }
 
-func newGraph(p *Program) *Graph {
-	return &Graph{P: p}
-}
-
 // addArrow validates and records a dataflow arrow. Duplicates are allowed
 // here and removed wholesale when the graph is finished, so the DRS never
 // pays a per-arrow hash lookup or map allocation.
@@ -86,7 +84,7 @@ func (g *Graph) addArrow(from, to *Node) error {
 	if from.Contains(to) || to.Contains(from) {
 		return fmt.Errorf("arrow between nested tasks %q and %q", from.Label, to.Label)
 	}
-	g.Arrows = append(g.Arrows, Arrow{From: from, To: to})
+	g.arrows = append(g.arrows, uint64(from.ID)<<32|uint64(to.ID))
 	return nil
 }
 
@@ -103,7 +101,7 @@ func BuildGraph(p *Program, arrows []Arrow) (*Graph, error) {
 	if p == nil {
 		return nil, fmt.Errorf("nil program")
 	}
-	g := newGraph(p)
+	g := &Graph{P: p}
 	for _, a := range arrows {
 		if a.From == nil || a.To == nil {
 			return nil, fmt.Errorf("arrow with nil endpoint")
@@ -125,21 +123,9 @@ func BuildGraph(p *Program, arrows []Arrow) (*Graph, error) {
 // finish sort-deduplicates the arrows and compiles the event graph,
 // verifying acyclicity.
 func (g *Graph) finish() error {
-	sort.Slice(g.Arrows, func(i, j int) bool {
-		if g.Arrows[i].From.ID != g.Arrows[j].From.ID {
-			return g.Arrows[i].From.ID < g.Arrows[j].From.ID
-		}
-		return g.Arrows[i].To.ID < g.Arrows[j].To.ID
-	})
-	kept := g.Arrows[:0]
-	for i, a := range g.Arrows {
-		if i == 0 || a != g.Arrows[i-1] {
-			kept = append(kept, a)
-		}
-	}
-	g.Arrows = kept
-
-	eg, err := NewExecGraph(g.P, g.Arrows)
+	slices.Sort(g.arrows)
+	g.arrows = slices.Compact(g.arrows)
+	eg, err := newExecGraph(g.P, g.arrows)
 	if err != nil {
 		return err
 	}
@@ -211,7 +197,14 @@ func (g *Graph) Parallelism() float64 {
 	return float64(g.P.Work()) / float64(span)
 }
 
-// SortedArrows returns the arrows sorted by (From.ID, To.ID), for
-// deterministic output. Since finish keeps Arrows sorted and deduplicated,
-// this is the Arrows slice itself; callers must not modify it.
-func (g *Graph) SortedArrows() []Arrow { return g.Arrows }
+// SortedArrows returns the arrows sorted by (From.ID, To.ID) and
+// deduplicated, as node pairs. The compiled graph keeps ID pairs only, so
+// the slice is built on each call: it is for validators, simulators and
+// DOT output, not for anything on a build or run path.
+func (g *Graph) SortedArrows() []Arrow {
+	out := make([]Arrow, len(g.arrows))
+	for i, a := range g.arrows {
+		out[i] = Arrow{From: g.P.Nodes[a>>32], To: g.P.Nodes[uint32(a)]}
+	}
+	return out
+}

@@ -99,7 +99,7 @@ func TestQuickDRSInvariants(t *testing.T) {
 			// cannot distinguish here — accept validation errors only.
 			return true
 		}
-		for _, a := range g.Arrows {
+		for _, a := range g.SortedArrows() {
 			_, fromHi := a.From.LeafRange()
 			toLo, _ := a.To.LeafRange()
 			if fromHi > toLo {

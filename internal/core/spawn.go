@@ -56,7 +56,8 @@ type Node struct {
 	Parent *Node // nil for the root
 	Index  int   // 1-based index within Parent.Children
 
-	footprint footprint.Set // union of subtree strand footprints
+	footprint footprint.Set // union of subtree strand footprints (a slice of the program's interval slab)
+	frozenBy  *Program      // the NewProgram call that last visited the node: its per-freeze "seen" stamp
 	leafLo    int           // first leaf sequence number in subtree
 	leafHi    int           // one past the last leaf sequence number
 	depth     int           // root = 0
@@ -98,61 +99,56 @@ func NewFire(fireType string, src, dst *Node) *Node {
 // It returns an error if a component indexes a missing child of an
 // internal node, which indicates a rule/tree shape mismatch, or if the
 // pedigree contains a Wildcard (use DescendAll for those).
+//
+//ndlint:noalloc
 func (n *Node) Descend(p Pedigree) (*Node, error) {
 	cur := n
 	for _, idx := range p {
 		if cur.Kind == KindStrand {
 			return cur, nil
 		}
-		if idx == Wildcard {
-			return nil, fmt.Errorf("pedigree %s contains a wildcard; use DescendAll", p)
-		}
 		if idx < 1 || idx > len(cur.Children) {
-			return nil, fmt.Errorf("pedigree %s does not exist under %s node %q (has %d children)",
-				p, cur.Kind, cur.Label, len(cur.Children))
+			return nil, descendError(p, idx, cur)
 		}
 		cur = cur.Children[idx-1]
 	}
 	return cur, nil
 }
 
-// DescendAll follows the pedigree like Descend, expanding each Wildcard
-// component to every child of the current node. It returns all reached
-// nodes (deduplicated when strands truncate distinct paths). The result
-// set doubles as the seen-set — frontiers are a handful of nodes, so a
-// linear scan beats a per-component map allocation on the DRS hot path.
-func (n *Node) DescendAll(p Pedigree) ([]*Node, error) {
-	cur := []*Node{n}
-	for ci, idx := range p {
-		var next []*Node
-		add := func(m *Node) {
-			for _, x := range next {
-				if x == m {
-					return
-				}
-			}
-			next = append(next, m)
-		}
-		for _, c := range cur {
-			if c.Kind == KindStrand {
-				add(c)
-				continue
-			}
-			if idx == Wildcard {
-				for _, child := range c.Children {
-					add(child)
-				}
-				continue
-			}
-			if idx < 1 || idx > len(c.Children) {
-				return nil, fmt.Errorf("pedigree %s (component %d) does not exist under %s node %q (has %d children)",
-					p, ci+1, c.Kind, c.Label, len(c.Children))
-			}
-			add(c.Children[idx-1])
-		}
-		cur = next
+func descendError(p Pedigree, idx int, at *Node) error {
+	if idx == Wildcard {
+		return fmt.Errorf("pedigree %s contains a wildcard; use DescendAll", p)
 	}
-	return cur, nil
+	return fmt.Errorf("pedigree %s does not exist under %s node %q (has %d children)",
+		p, at.Kind, at.Label, len(at.Children))
+}
+
+// DescendAll follows the pedigree like Descend, expanding each Wildcard
+// component to every child of the current node, and appends all reached
+// nodes to dst (caller-owned scratch; the DRS passes its stack). Reached
+// nodes are distinct without a seen-set: the frontier starts as {n} and
+// each step replaces a node by itself (a strand) or by children of its
+// own, so it stays an antichain of a tree.
+func (n *Node) DescendAll(p Pedigree, dst []*Node) ([]*Node, error) {
+	start := len(dst)
+	dst = append(dst, n)
+	for _, idx := range p {
+		end := len(dst)
+		for _, c := range dst[start:end] {
+			switch {
+			case c.Kind == KindStrand:
+				dst = append(dst, c)
+			case idx == Wildcard:
+				dst = append(dst, c.Children...)
+			case idx < 1 || idx > len(c.Children):
+				return nil, descendError(p, idx, c)
+			default:
+				dst = append(dst, c.Children[idx-1])
+			}
+		}
+		dst = append(dst[:start], dst[end:]...) // the next frontier slides down over the current one
+	}
+	return dst, nil
 }
 
 // IsLeaf reports whether the node is a strand.
@@ -208,65 +204,96 @@ func NewProgram(root *Node, rules RuleSet) (*Program, error) {
 	if err := rules.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid rule set: %w", err)
 	}
-	p := &Program{Root: root, Rules: rules}
-	seen := map[*Node]bool{}
-	var freeze func(n, parent *Node, index, depth int) error
-	freeze = func(n, parent *Node, index, depth int) error {
-		if seen[n] {
-			return fmt.Errorf("node %q appears twice in the spawn tree", n.Label)
-		}
-		seen[n] = true
-		n.ID = len(p.Nodes)
-		n.Parent = parent
-		n.Index = index
-		n.depth = depth
-		p.Nodes = append(p.Nodes, n)
-		switch n.Kind {
-		case KindStrand:
-			if len(n.Children) != 0 {
-				return fmt.Errorf("strand %q has children", n.Label)
-			}
-			if n.Work < 0 {
-				return fmt.Errorf("strand %q has negative work", n.Label)
-			}
-			n.leafLo = len(p.Leaves)
-			n.leafHi = n.leafLo + 1
-			n.footprint = footprint.Union(n.Reads, n.Writes)
-			p.Leaves = append(p.Leaves, n)
-			return nil
-		case KindFire:
-			if len(n.Children) != 2 {
-				return fmt.Errorf("fire node %q must have exactly 2 children, has %d", n.Label, len(n.Children))
-			}
-			if _, ok := rules[n.FireType]; !ok {
-				return fmt.Errorf("fire node %q uses undefined fire type %q", n.Label, n.FireType)
-			}
-		case KindSeq, KindPar:
-			if len(n.Children) < 2 {
-				return fmt.Errorf("%s node %q must have at least 2 children, has %d", n.Kind, n.Label, len(n.Children))
-			}
-		default:
-			return fmt.Errorf("node %q has invalid kind %v", n.Label, n.Kind)
-		}
-		n.leafLo = len(p.Leaves)
-		sets := make([]footprint.Set, 0, len(n.Children))
-		for i, c := range n.Children {
-			if c == nil {
-				return fmt.Errorf("%s node %q has nil child %d", n.Kind, n.Label, i+1)
-			}
-			if err := freeze(c, n, i+1, depth+1); err != nil {
-				return err
-			}
-			sets = append(sets, c.footprint)
-		}
-		n.leafHi = len(p.Leaves)
-		n.footprint = footprint.UnionAll(sets...)
-		return nil
-	}
-	if err := freeze(root, nil, 0, 0); err != nil {
+	f := freezer{p: &Program{Root: root, Rules: rules}}
+	if err := f.freeze(root, nil, 0, 0); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return f.p, nil
+}
+
+// freezer is the scratch of one NewProgram call. Nothing in it outlives
+// the call except the slab chunks the nodes' footprints point into.
+type freezer struct {
+	p *Program
+	// slab is the open chunk of the program's interval slab: subtree
+	// footprints are merged straight into its tail, one slice per node
+	// but one allocation per chunk.
+	slab []footprint.Interval
+	// sets is a stack of operand footprints: a node pushes its children's
+	// (a strand its Reads and Writes) and union pops them.
+	sets []footprint.Set
+}
+
+func (f *freezer) freeze(n, parent *Node, index, depth int) error {
+	p := f.p
+	if n.frozenBy == p {
+		return fmt.Errorf("node %q appears twice in the spawn tree", n.Label)
+	}
+	n.frozenBy = p
+	n.ID = len(p.Nodes)
+	n.Parent = parent
+	n.Index = index
+	n.depth = depth
+	p.Nodes = append(p.Nodes, n)
+	n.leafLo = len(p.Leaves)
+	from := len(f.sets)
+	switch n.Kind {
+	case KindStrand:
+		if len(n.Children) != 0 {
+			return fmt.Errorf("strand %q has children", n.Label)
+		}
+		if n.Work < 0 {
+			return fmt.Errorf("strand %q has negative work", n.Label)
+		}
+		p.Leaves = append(p.Leaves, n)
+		f.sets = append(f.sets, n.Reads, n.Writes)
+	case KindFire:
+		if len(n.Children) != 2 {
+			return fmt.Errorf("fire node %q must have exactly 2 children, has %d", n.Label, len(n.Children))
+		}
+		if _, ok := p.Rules[n.FireType]; !ok {
+			return fmt.Errorf("fire node %q uses undefined fire type %q", n.Label, n.FireType)
+		}
+	case KindSeq, KindPar:
+		if len(n.Children) < 2 {
+			return fmt.Errorf("%s node %q must have at least 2 children, has %d", n.Kind, n.Label, len(n.Children))
+		}
+	default:
+		return fmt.Errorf("node %q has invalid kind %v", n.Label, n.Kind)
+	}
+	for i, c := range n.Children {
+		if c == nil {
+			return fmt.Errorf("%s node %q has nil child %d", n.Kind, n.Label, i+1)
+		}
+		if err := f.freeze(c, n, i+1, depth+1); err != nil {
+			return err
+		}
+		f.sets = append(f.sets, c.footprint)
+	}
+	n.leafHi = len(p.Leaves)
+	n.footprint = f.union(from)
+	return nil
+}
+
+// union pops the operand sets pushed since from and returns their union,
+// merged into the slab. A chunk that cannot hold the operands' total
+// length (the union's upper bound) is left to the nodes already pointing
+// into it and a larger one is opened.
+func (f *freezer) union(from int) footprint.Set {
+	total := 0
+	for _, s := range f.sets[from:] {
+		total += len(s)
+	}
+	if cap(f.slab)-len(f.slab) < total {
+		f.slab = make([]footprint.Interval, 0, max(total, 2*cap(f.slab), 512))
+	}
+	start := len(f.slab)
+	f.slab = footprint.AppendUnion(f.slab, f.sets[from:])
+	f.sets = f.sets[:from]
+	if start == len(f.slab) {
+		return nil
+	}
+	return f.slab[start:len(f.slab):len(f.slab)]
 }
 
 // Work returns T1: the total work of the program.

@@ -136,10 +136,13 @@ func buildWakeGraph(eg *ExecGraph, contract bool) *WakeGraph {
 		}
 	}
 
-	// Collapse in reverse topological order: exps[v] is the merged list of
-	// counters firing v decrements, with contracted successors inlined.
-	// relayRow[v] ≥ 0 marks v kept as a relay counter with that row index.
-	exps := make([][]wakeEntry, n)
+	// Collapse in reverse topological order: the expansion of v — the
+	// merged list of counters firing v decrements, with contracted
+	// successors inlined — is slab[expOff[v]:expEnd[v]], built in place at
+	// the slab's tail. relayRow[v] ≥ 0 marks v kept as a relay counter
+	// with that row index.
+	slab := make([]wakeEntry, 0, len(eg.succs))
+	expOff, expEnd := make([]int32, n), make([]int32, n)
 	relayRow := make([]int32, n)
 	for v := range relayRow {
 		relayRow[v] = -1
@@ -153,18 +156,17 @@ func buildWakeGraph(eg *ExecGraph, contract bool) *WakeGraph {
 	mark := make([]int32, nStrands+n)
 	slot := make([]int32, nStrands+n)
 	var stampGen int32
-	var merged []wakeEntry
 	overflow := false
 	addEntry := func(tgt int32, wgt int64) {
 		if mark[tgt] == stampGen {
-			if merged[slot[tgt]].wgt += wgt; merged[slot[tgt]].wgt > math.MaxInt32 {
+			if slab[slot[tgt]].wgt += wgt; slab[slot[tgt]].wgt > math.MaxInt32 {
 				overflow = true
 			}
 			return
 		}
 		mark[tgt] = stampGen
-		slot[tgt] = int32(len(merged))
-		merged = append(merged, wakeEntry{tgt, wgt})
+		slot[tgt] = int32(len(slab))
+		slab = append(slab, wakeEntry{tgt, wgt})
 	}
 
 	topo := eg.Topo()
@@ -175,34 +177,34 @@ func buildWakeGraph(eg *ExecGraph, contract bool) *WakeGraph {
 			continue
 		}
 		stampGen++
-		merged = merged[:0]
+		expOff[v] = int32(len(slab))
 		for _, x := range eg.Succ(v) {
 			if s := eg.VertexStrand(x); s >= 0 && !eg.IsEnd(x) {
 				addEntry(s, 1)
 			} else if r := relayRow[x]; r >= 0 {
 				addEntry(r, 1)
 			} else {
-				for _, e := range exps[x] {
+				// A regrown slab leaves the old array readable.
+				for _, e := range slab[expOff[x]:expEnd[x]] {
 					addEntry(e.tgt, e.wgt)
 				}
 			}
 		}
-		exp := append([]wakeEntry(nil), merged...)
+		expEnd[v] = int32(len(slab))
+		f := int64(expEnd[v] - expOff[v])
 		if s := eg.VertexStrand(v); s >= 0 && !eg.IsEnd(v) {
 			// Strand start: its expansion is the strand's completion row.
-			exps[v] = exp
-			totalEdges += len(exp)
+			totalEdges += int(f)
 			continue
 		}
-		d, f := int64(runDrop[v]), int64(len(exp))
+		d := int64(runDrop[v])
 		if f > 0 && (!contract || (d >= 2 && f >= 2 && d*f > d+f)) {
 			// High fan-in × fan-out (or contraction disabled): keep as a
 			// relay counter so the join stays d+f edges instead of d·f.
 			relayRow[v] = int32(nStrands + len(relayVerts))
 			relayVerts = append(relayVerts, v)
-			totalEdges += len(exp)
+			totalEdges += int(f)
 		}
-		exps[v] = exp
 	}
 	if overflow {
 		return nil
@@ -218,9 +220,9 @@ func buildWakeGraph(eg *ExecGraph, contract bool) *WakeGraph {
 	w.weights = make([]int32, 0, totalEdges)
 	w.need = make([]int32, nStrands+nRelays)
 	need64 := make([]int64, nStrands+nRelays)
-	emit := func(row int, exp []wakeEntry) {
+	emit := func(row int, v int32) {
 		w.wakeOff[row] = int32(len(w.targets))
-		for _, e := range exp {
+		for _, e := range slab[expOff[v]:expEnd[v]] {
 			w.targets = append(w.targets, e.tgt)
 			w.weights = append(w.weights, int32(e.wgt))
 			if need64[e.tgt] += e.wgt; need64[e.tgt] > math.MaxInt32 {
@@ -229,10 +231,10 @@ func buildWakeGraph(eg *ExecGraph, contract bool) *WakeGraph {
 		}
 	}
 	for s := 0; s < nStrands; s++ {
-		emit(s, exps[eg.StrandStart(int32(s))])
+		emit(s, eg.StrandStart(int32(s)))
 	}
 	for r, v := range relayVerts {
-		emit(nStrands+r, exps[v])
+		emit(nStrands+r, v)
 	}
 	if overflow {
 		return nil

@@ -298,7 +298,7 @@ func TestCSRBounds(t *testing.T) {
 	for v := int32(0); v < int32(eg.NumVertices()); v++ {
 		stored += int64(len(eg.Succ(v)))
 	}
-	if want := countEventEdges(p, len(g.Arrows)); stored != want {
+	if want := countEventEdges(p, len(g.SortedArrows())); stored != want {
 		t.Fatalf("CSR stores %d edges, countEventEdges = %d", stored, want)
 	}
 }

@@ -95,7 +95,8 @@ func (r *Report) String() string {
 // (so the serial elision itself is a legal schedule).
 func Check(g *core.Graph) (*Report, error) {
 	p := g.P
-	for _, a := range g.Arrows {
+	arrows := g.SortedArrows()
+	for _, a := range arrows {
 		_, fromHi := a.From.LeafRange()
 		toLo, _ := a.To.LeafRange()
 		if fromHi > toLo {
@@ -104,7 +105,7 @@ func Check(g *core.Graph) (*Report, error) {
 	}
 
 	conflicts := Conflicts(p)
-	report := &Report{Strands: len(p.Leaves), Conflicts: len(conflicts), Arrows: len(g.Arrows)}
+	report := &Report{Strands: len(p.Leaves), Conflicts: len(conflicts), Arrows: len(arrows)}
 	if len(conflicts) == 0 {
 		return report, nil
 	}

@@ -368,8 +368,7 @@ func (r *run) Discard() {
 // gated child's body is skipped (the run is failed), a parked Get
 // resumes through the donation path and unwinds via errRunAborted —
 // either way the spawn-tree cascade drains and Wait returns.
-func (r *run) DrainStalled(fail func(parked int)) {
-	var words []int64
+func (r *run) DrainStalled(fail func(parked int)) (words []int64) {
 	for _, fr := range *r.tab.Load() {
 		for {
 			v := fr.wait.Load()
@@ -382,11 +381,11 @@ func (r *run) DrainStalled(fail func(parked int)) {
 			}
 		}
 	}
-	// Fail the run before publishing the claimed words, so every one of
-	// them dispatches against an already-failed run (first failure wins:
-	// a cancelled run being drained keeps its cancellation error).
+	// Fail the run before the engine publishes the claimed words, so every
+	// one of them dispatches against an already-failed run (first failure
+	// wins: a cancelled run being drained keeps its cancellation error).
 	fail(len(words))
-	r.eng.Inject(words...)
+	return words
 }
 
 // newFrame takes a frame for fn under parent from the run's table: a free

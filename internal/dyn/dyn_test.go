@@ -8,6 +8,7 @@ import (
 
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/exec"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // diamondGraph compiles a tiny static program (a ; (b ‖ c) ; d) for tests
@@ -27,12 +28,28 @@ func diamondGraph(t *testing.T) *core.Graph {
 	return g
 }
 
+// cleanEngine starts an engine for a test whose every run is healthy and
+// closes it at cleanup, after asserting that the quiescence watchdog never
+// force-drained a run: a rescue on a clean run is a scheduler defect (the
+// watchdog misjudging the pool quiescent), not a slow test. Tests that
+// stall, cancel or panic a run on purpose start their engines themselves.
+func cleanEngine(t testing.TB, workers int) *exec.Engine {
+	t.Helper()
+	e := exec.NewEngine(workers)
+	t.Cleanup(func() {
+		if n := e.Metrics().Snapshot().Get(telemetry.MRescues); n != 0 {
+			t.Errorf("watchdog rescued %d run(s) of a clean test", n)
+		}
+		e.Close()
+	})
+	return e
+}
+
 // runOn executes root on a fresh engine with the given worker count and
 // fails the test on error.
 func runOn(t *testing.T, workers int, root Task) {
 	t.Helper()
-	e := exec.NewEngine(workers)
-	defer e.Close()
+	e := cleanEngine(t, workers)
 	if err := Run(e, root); err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +250,7 @@ func TestSpawnAfterResolvedFutures(t *testing.T) {
 func TestExternalPutInjector(t *testing.T) {
 	// A future resolved from outside the engine: the resume must travel
 	// through the engine's injector, not a worker deque.
-	e := exec.NewEngine(2)
-	defer e.Close()
+	e := cleanEngine(t, 2)
 	// The test goroutine is the resolver; register so the quiescence
 	// watchdog keeps its hands off the parked run.
 	release := e.RegisterResolver()
@@ -292,8 +308,7 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 
 func TestDynInterleavesWithCompiled(t *testing.T) {
 	// Dynamic and compiled submissions share one engine concurrently.
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	g := diamondGraph(t)
 	const rounds = 20
 	errs := make(chan error, 2)
@@ -345,8 +360,7 @@ func fanRoot(n int) Task {
 func TestRunReusePooledState(t *testing.T) {
 	// Back-to-back runs on one engine exercise run/frame recycling and
 	// the DynTracker generation reset.
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	var total atomic.Int64
 	for round := 0; round < 50; round++ {
 		if err := Run(e, func(c *Context) {
@@ -383,8 +397,7 @@ func TestDeepRecursionWithGet(t *testing.T) {
 			results[i].Put(c, results[i+1].Get(c).(int)+1)
 		}
 	}
-	e := exec.NewEngine(2)
-	defer e.Close()
+	e := cleanEngine(t, 2)
 	if err := Run(e, chain(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -413,10 +426,8 @@ func TestPutAcrossEngines(t *testing.T) {
 	// A future shared between two engines: a task on engine B resolves
 	// what a task on engine A is parked on. The wakeup must route
 	// through A's injector — B's deques cannot carry A's task words.
-	ea := exec.NewEngine(2)
-	defer ea.Close()
-	eb := exec.NewEngine(2)
-	defer eb.Close()
+	ea := cleanEngine(t, 2)
+	eb := cleanEngine(t, 2)
 	// Engine B is an external resolver from A's point of view: A's
 	// watchdog cannot see B's in-flight Put, so declare it.
 	release := ea.RegisterResolver()
@@ -466,8 +477,7 @@ func TestFramePoolBatchBoundaries(t *testing.T) {
 	for _, k := range []int{1, frameBatch - 1, frameBatch, frameBatch + 1,
 		2*frameBatch - 1, 2 * frameBatch, 2*frameBatch + 1, 3*frameBatch + 5} {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
-			e := exec.NewEngine(1)
-			defer e.Close()
+			e := cleanEngine(t, 1)
 			var n atomic.Int64
 			body := func(c *Context) {
 				for i := 0; i < k; i++ {
@@ -498,8 +508,7 @@ func TestFramePoolBatchBoundaries(t *testing.T) {
 // interleaving a structural call (which flushes pend to the deque) must
 // not change the result.
 func TestSpawnChainPendInlining(t *testing.T) {
-	e := exec.NewEngine(2)
-	defer e.Close()
+	e := cleanEngine(t, 2)
 	const depth = 2000
 	var steps atomic.Int64
 	var descend func(c *Context, d int64)

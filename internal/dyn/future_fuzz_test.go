@@ -2,8 +2,6 @@ package dyn
 
 import (
 	"testing"
-
-	"github.com/ndflow/ndflow/internal/exec"
 )
 
 // FuzzFutureWaiters races Put against concurrent Gets, SpawnAfter gatings
@@ -52,8 +50,7 @@ func FuzzFutureWaiters(f *testing.F) {
 			}
 		}
 
-		e := exec.NewEngine(4)
-		defer e.Close()
+		e := cleanEngine(t, 4)
 		futs := make([]Future, n)
 		err := Run(e, func(c *Context) {
 			for i := 0; i < n; i++ {

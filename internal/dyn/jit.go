@@ -126,7 +126,15 @@ type ProgramStats struct {
 // Program is a reusable dynamic program: a root Task plus the adaptive
 // replay compilation state that lets recurring shapes run on the
 // compiled engine. The zero value is not usable; construct with
-// NewProgram. A Program is safe for concurrent Run calls.
+// NewProgram. A Program is safe for concurrent Run calls, with one rule
+// about what its tasks capture: a replay executes the closures the
+// recording run created, so whatever those captured is shared by every
+// replay. The one capture the runtime can see is a Future a recorded
+// strand resolves — each replay stores to that same cell — and a recording
+// with such a Put is exclusive: one replay at a time, further concurrent
+// runs execute live on futures of their own. Any other captured state is
+// the caller's to synchronize, as for concurrent submissions of one
+// compiled graph with live bodies.
 type Program struct {
 	root Task
 	cfg  JITConfig
@@ -238,7 +246,7 @@ func (p *Program) takeBinding(e *exec.Engine) *binding {
 		p.mu.Unlock()
 		return b
 	}
-	if p.made >= p.cfg.MaxBindings {
+	if p.made >= p.cfg.MaxBindings || (rec.exclusive && p.made >= 1) {
 		p.stats.CapacityMisses++
 		p.mu.Unlock()
 		return nil
@@ -373,7 +381,7 @@ func (p *Program) finishRecording(e *exec.Engine, rec *recorder, key uint64) {
 	var r *recording
 	var err error
 	if !rec.failed.Load() && sameShape {
-		r = &recording{strands: rec.strands, key: key}
+		r = &recording{strands: rec.strands, key: key, exclusive: len(rec.puts) > 0}
 		b, err = materialize(r)
 	}
 	p.mu.Lock()
@@ -470,6 +478,9 @@ func (rc *recorder) dep(to *recStrand, f *Future) {
 type recording struct {
 	strands []*recStrand
 	key     uint64
+	// exclusive: a recorded strand resolves a future of the recording
+	// run, which overlapping replays would all store to (see Program).
+	exclusive bool
 }
 
 // binding is one compiled replica of a recording: a core.Graph whose

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/ndflow/ndflow/internal/core"
-	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
@@ -16,8 +15,7 @@ import (
 // counter was cumulative, and the second non-consecutive divergence
 // (wrongly) dropped the recording.
 func TestProgramDivergenceRecoveryResetsCounter(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 
 	const base = 40
 	extra := 0 // read by the root body; changed only between runs
@@ -121,8 +119,7 @@ func churnGraph(t *testing.T, width int) *core.Graph {
 // invalidate the recording — replays stay correct and keep hitting,
 // only the pooled run state is re-allocated. Run under -race in CI.
 func TestProgramReplayDuringEviction(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	e.SetCacheCap(1)
 
 	const base = 24

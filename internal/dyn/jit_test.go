@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"github.com/ndflow/ndflow/internal/exec"
 )
 
 // gatedSquares builds a replayable program: k workers fill out, each
@@ -55,8 +53,7 @@ func wantSquares(t *testing.T, out []int64, sum int64) {
 // observe → record → replay ladder and checks the warm run both executed
 // the real bodies and was served by the compiled engine.
 func TestProgramCompilesAndReplays(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	out := make([]int64, 100)
 	var sum int64
 	p := NewProgram(gatedSquares(out, &sum))
@@ -95,8 +92,7 @@ func TestProgramCompilesAndReplays(t *testing.T) {
 // divergence invalidates the recording, and (c) the program re-learns
 // the new shape afterwards.
 func TestProgramDivergenceFallback(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 
 	const base = 40
 	extra := 0 // read by the root body; changed only between runs
@@ -181,8 +177,7 @@ func TestProgramDivergenceFallback(t *testing.T) {
 // recording and eventually disable compilation, while every run still
 // produces correct output live.
 func TestProgramVetoOnMidBodySuspension(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	var result int64
 	prog := func(c *Context) {
 		f := NewFuture()
@@ -226,8 +221,7 @@ func TestProgramVetoOnMidBodySuspension(t *testing.T) {
 // TestProgramSyncVetoes checks that an explicit Sync vetoes recording
 // permanently (MaxRecordVetoes) and the program keeps running live.
 func TestProgramSyncVetoes(t *testing.T) {
-	e := exec.NewEngine(2)
-	defer e.Close()
+	e := cleanEngine(t, 2)
 	var total int64
 	body := func(c *Context) {
 		var a, b int64
@@ -261,10 +255,12 @@ func TestProgramSyncVetoes(t *testing.T) {
 // TestProgramConcurrentRuns hammers one Program from several goroutines:
 // bindings are capped, overflow runs go live, and every bookkeeping path
 // (observe, record, replay, capacity miss) must be race-clean. Bodies are
-// effect-free so concurrent replays cannot race on user data.
+// effect-free except for the Future the recorded closures capture: its
+// Put makes the recording exclusive, so replays never overlap on that
+// cell and the test is clean under -race (it was not while two bindings
+// could replay at once).
 func TestProgramConcurrentRuns(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	body := func(c *Context) {
 		f := NewFuture()
 		c.SpawnForRange(func(*Context, int64) {}, 0, 32)
@@ -301,12 +297,53 @@ func TestProgramConcurrentRuns(t *testing.T) {
 	}
 }
 
+// TestProgramPutRecordingIsExclusive pins the capture rule of Program: a
+// recording whose strands resolve a future hands out one binding however
+// many MaxBindings allows, a Put-free one hands out several.
+func TestProgramPutRecordingIsExclusive(t *testing.T) {
+	e := cleanEngine(t, 2)
+	warm := func(body Task) *Program {
+		p := NewProgram(body, JITConfig{Threshold: 1, MaxBindings: 4})
+		for i := 0; i < 4 && !p.Compiled(); i++ {
+			if err := p.Run(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !p.Compiled() {
+			t.Fatalf("program never compiled: %+v", p.Stats())
+		}
+		return p
+	}
+	second := func(p *Program) *binding {
+		first := p.takeBinding(e)
+		if first == nil {
+			t.Fatal("no binding for a compiled program")
+		}
+		defer p.putBinding(first)
+		return p.takeBinding(e)
+	}
+	withPut := warm(func(c *Context) {
+		f := NewFuture()
+		c.SpawnFor(func(c *Context, _ int64) { f.Put(c, nil) }, 1)
+		c.SpawnFor(func(*Context, int64) {}, 2, f)
+	})
+	if b := second(withPut); b != nil {
+		t.Fatal("a recording that resolves a captured future handed out two bindings")
+	}
+	if st := withPut.Stats(); st.CapacityMisses != 1 {
+		t.Fatalf("capacity misses = %d, want 1", st.CapacityMisses)
+	}
+	putFree := warm(func(c *Context) { c.SpawnForRange(func(*Context, int64) {}, 0, 8) })
+	if b := second(putFree); b == nil {
+		t.Fatal("a Put-free recording refused a second binding below MaxBindings")
+	}
+}
+
 // TestProgramSharedFutureVetoes checks that a dependency on a future
 // resolved outside the program (cross-run identity) vetoes recording:
 // the recorded graph could never resolve it.
 func TestProgramSharedFutureVetoes(t *testing.T) {
-	e := exec.NewEngine(2)
-	defer e.Close()
+	e := cleanEngine(t, 2)
 	ext := NewFuture()
 	ext.Put(nil, int64(9))
 	var got int64
@@ -334,8 +371,7 @@ func TestProgramSharedFutureVetoes(t *testing.T) {
 // TestProgramShapeKeyDistinguishesArgs checks the observation hash sees
 // spawn arguments: alternating argument sets never build a streak.
 func TestProgramShapeKeyDistinguishesArgs(t *testing.T) {
-	e := exec.NewEngine(2)
-	defer e.Close()
+	e := cleanEngine(t, 2)
 	arg := int64(0)
 	var sink int64
 	body := func(c *Context) {
@@ -360,8 +396,7 @@ func TestProgramShapeKeyDistinguishesArgs(t *testing.T) {
 // TestProgramReplayGraphShape sanity-checks the compiled artifact: the
 // recorded DAG of a known program has the expected strand count.
 func TestProgramReplayGraphShape(t *testing.T) {
-	e := exec.NewEngine(2)
-	defer e.Close()
+	e := cleanEngine(t, 2)
 	const k = 10
 	out := make([]int64, k)
 	var sum int64
@@ -399,8 +434,7 @@ func TestProgramReplayGraphShape(t *testing.T) {
 // TestSpawnForRange covers the batch spawner's edges: empty range,
 // single element, a range crossing several frame slabs, and nesting.
 func TestSpawnForRange(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	for _, n := range []int{0, 1, 31, 32, 33, 64, 1000} {
 		out := make([]int64, n)
 		err := Run(e, func(c *Context) {

@@ -70,8 +70,7 @@ func TestRunGraphMatchesElision(t *testing.T) {
 
 	var dynOut []int
 	gd := chainGraph(t, &dynOut)
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	if err := RunGraph(e, gd); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +102,7 @@ func TestReplayManyStrands(t *testing.T) {
 	}
 	eg := g.Exec()
 	root := Replay(eg, StrandDeps(eg))
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	for round := 1; round <= 3; round++ {
 		if err := Run(e, root); err != nil {
 			t.Fatal(err)
@@ -121,8 +119,7 @@ func TestSpawnForIndexed(t *testing.T) {
 	const n = 50
 	var sum atomic.Int64
 	gate := NewFuture()
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	body := func(c *Context, x int64) { sum.Add(x + gate.Get(c).(int64)) }
 	if err := Run(e, func(c *Context) {
 		for i := 0; i < n; i++ {
@@ -150,8 +147,7 @@ func TestWideGating(t *testing.T) {
 		futs[i] = NewFuture()
 	}
 	var ran atomic.Int32
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 	if err := Run(e, func(c *Context) {
 		c.SpawnAfter(func(c *Context) {
 			for _, f := range futs {
@@ -177,8 +173,7 @@ func TestWideGating(t *testing.T) {
 // sink). Each also climbs the adaptive-replay ladder to a compiled warm
 // run, since these are exactly the shapes materialize() emits.
 func TestReplayDegenerateGraphs(t *testing.T) {
-	e := exec.NewEngine(4)
-	defer e.Close()
+	e := cleanEngine(t, 4)
 
 	build := func(t *testing.T, n int, arrows func(nodes []*core.Node) []core.Arrow, body func(i int) func()) *core.Graph {
 		t.Helper()

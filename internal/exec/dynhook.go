@@ -77,14 +77,15 @@ type DynRun interface {
 	// still holding its latch: every frame parked behind an unresolved
 	// future is claimed and re-injected as a skip-at-dispatch task word,
 	// so the run's tracker drains and Wait returns. The implementation
-	// calls fail(parked) with the claimed strand count BEFORE injecting,
-	// so the run is already failed when the claimed words dispatch; fail
-	// is first-failure-wins (a no-op on a run that already failed — a
-	// cancelled run being drained keeps ErrRunCanceled). Called outside
-	// the engine mutex, on a worker at the park edge; only called while
-	// the pool is quiescent, so no frame of the run is concurrently
-	// executing.
-	DrainStalled(fail func(parked int))
+	// calls fail(parked) with the claimed strand count and returns the
+	// claimed words; the engine queues them after fail has run, so the run
+	// is already failed when they dispatch. fail is first-failure-wins (a
+	// no-op on a run that already failed — a cancelled run being drained
+	// keeps ErrRunCanceled). Called with the engine mutex held, on a
+	// worker at the park edge, so it must not call back into the engine;
+	// only called while the pool is quiescent, so no frame of the run is
+	// concurrently executing.
+	DrainStalled(fail func(parked int)) (words []int64)
 }
 
 // Worker is a goroutine's scheduling identity inside an engine: the deque
@@ -239,17 +240,21 @@ func (e *Engine) drainSparesLocked() {
 // finish while one of its words is outstanding, so this holds for every
 // word a live continuation produces).
 func (e *Engine) Inject(words ...int64) {
+	e.mu.Lock()
+	e.injectLocked(words)
+	e.mu.Unlock()
+}
+
+func (e *Engine) injectLocked(words []int64) {
 	if len(words) == 0 {
 		return
 	}
 	e.met.injects.AddShared(uint64(len(words)))
-	e.mu.Lock()
 	e.inject = append(e.inject, words...)
 	e.epoch++
 	if e.sleepers > 0 {
 		e.cond.Broadcast()
 	}
-	e.mu.Unlock()
 }
 
 // SubmitDyn enqueues a dynamic run: Bind is called with the allocated

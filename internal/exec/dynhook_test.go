@@ -58,7 +58,7 @@ func (d *fakeDyn) Discard() {}
 // DrainStalled reports the parked root as the one stalled strand; the
 // tests register a resolver before parking the root, so the watchdog
 // never actually reaches this on a healthy run.
-func (d *fakeDyn) DrainStalled(fail func(parked int)) { fail(1) }
+func (d *fakeDyn) DrainStalled(fail func(parked int)) []int64 { fail(1); return nil }
 
 func (d *fakeDyn) Exec(w *Worker, id int32) (finished, detached bool) {
 	switch {

@@ -865,11 +865,7 @@ func (e *Engine) acquire(w *Worker) (int64, bool) {
 				// force-drained (failing the run) instead of hanging Wait
 				// forever. The drain publishes task words, bumping the
 				// epoch, so the ladder loops back around to consume them.
-				if stalled := e.stalledRunsLocked(); len(stalled) != 0 {
-					e.mu.Unlock()
-					e.rescue(stalled)
-					e.mu.Lock()
-				} else {
+				if !e.rescueStalledLocked() {
 					e.met.parks.Inc(self)
 					if tr := e.tracer; tr != nil {
 						tr.Record(self, telemetry.EvPark, -1, -1, 0)
@@ -889,8 +885,13 @@ func (e *Engine) acquire(w *Worker) (int64, bool) {
 	}
 }
 
-// stalledRunsLocked is the quiescence watchdog's detection step, called
-// under the engine mutex at the final park edge. The pool is quiescent
+// rescueStalledLocked is the quiescence watchdog, called under the engine
+// mutex at the final park edge; it reports whether it force-drained any
+// run. Detection and drain are one critical section: Wait recycles a run
+// handle (and retires its DynRun) under the same mutex, so a run selected
+// here cannot be recycled before it is drained, and once a parked frame
+// is claimed the run cannot finish until the claimed word — queued below,
+// still under the mutex — has dispatched. The pool is quiescent
 // iff every other worker is inside cond.Wait, the injector is drained,
 // and the epoch is unchanged — then no unconsumed published work exists
 // anywhere (every ready structure is swept before parking; deferred and
@@ -903,12 +904,18 @@ func (e *Engine) acquire(w *Worker) (int64, bool) {
 // resolver is registered, healthy runs get the benefit of the doubt and
 // only already-failed (cancelled/panicked) runs are selected; each run
 // is selected at most once per submission (rescued flag).
-func (e *Engine) stalledRunsLocked() []*Run {
+//
+// A selected run is force-drained: its parked continuations are claimed
+// and queued as skip-at-dispatch task words, so the run's tracker drains
+// to zero and Wait returns a typed error. The fail callback installs
+// UnresolvedFutureError unless the run already failed (a cancelled run
+// keeps ErrRunCanceled — drain is then just cleanup).
+func (e *Engine) rescueStalledLocked() bool {
 	if e.waiting != e.workers-1 || e.active == 0 || len(e.inject) != e.injectHead {
-		return nil
+		return false
 	}
 	ext := e.resolvers.Load() > 0
-	var stalled []*Run
+	rescued := false
 	for _, r := range *e.slots.Load() {
 		if r == nil || !r.live || r.dyn == nil || r.rescued {
 			continue
@@ -916,25 +923,13 @@ func (e *Engine) stalledRunsLocked() []*Run {
 		if ext && r.failv.Load() == nil {
 			continue
 		}
-		r.rescued = true
-		stalled = append(stalled, r)
-	}
-	return stalled
-}
-
-// rescue force-drains each stalled run: the run's parked continuations
-// are claimed and re-injected as skip-at-dispatch task words, so the
-// run's tracker drains to zero and Wait returns a typed error. The fail
-// callback installs UnresolvedFutureError unless the run already failed
-// (a cancelled run keeps ErrRunCanceled — drain is then just cleanup).
-func (e *Engine) rescue(stalled []*Run) {
-	for _, r := range stalled {
-		r := r
+		r.rescued, rescued = true, true
 		e.met.rescues.IncShared()
-		r.dyn.DrainStalled(func(parked int) {
+		e.injectLocked(r.dyn.DrainStalled(func(parked int) {
 			r.Fail(&UnresolvedFutureError{Parked: parked})
-		})
+		}))
 	}
+	return rescued
 }
 
 // wake publishes n newly-available tasks to parked workers, waking up to

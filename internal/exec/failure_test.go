@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // seqGraph builds a rewritten serial chain s0 ; s1 ; … with the given
@@ -221,10 +222,10 @@ func (d *stallDyn) Discard()                      {}
 func (d *stallDyn) Exec(w *Worker, id int32) (finished, detached bool) {
 	return id == 1, false
 }
-func (d *stallDyn) DrainStalled(fail func(parked int)) {
+func (d *stallDyn) DrainStalled(fail func(parked int)) []int64 {
 	d.drained.Add(1)
 	fail(1)
-	d.r.eng.Inject(PackDynTask(d.slot, 1))
+	return []int64{PackDynTask(d.slot, 1)}
 }
 
 // TestWatchdogFailsStalledRun: a dynamic run that parks with no external
@@ -247,6 +248,68 @@ func TestWatchdogFailsStalledRun(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stalled run hung Wait: watchdog never fired")
+	}
+}
+
+// recycleDyn is a stalled run whose external resolver strikes while the
+// watchdog is draining it: from inside DrainStalled it starts a goroutine
+// that publishes the completing word, Waits (which recycles the handle)
+// and resubmits, then gives that goroutine every chance to get there.
+type recycleDyn struct {
+	stallDyn
+	t    *testing.T
+	next chan *Run
+}
+
+func (d *recycleDyn) DrainStalled(fail func(parked int)) []int64 {
+	r, e := d.r, d.r.eng
+	started := make(chan struct{})
+	go func() {
+		close(started)
+		e.Inject(PackDynTask(d.slot, 1))
+		if err := r.Wait(); err != nil {
+			d.t.Errorf("resolved run: Wait = %v", err)
+		}
+		nr, err := e.SubmitDyn(&stallDyn{})
+		if err != nil {
+			d.t.Error(err)
+		}
+		d.next <- nr
+	}()
+	<-started
+	time.Sleep(20 * time.Millisecond)
+	if !r.live || r.dyn != DynRun(d) {
+		d.t.Errorf("run recycled under the watchdog: live=%v dyn=%T", r.live, r.dyn)
+	}
+	return nil // the resolver's word is the one that completes the run
+}
+
+// TestWatchdogCannotRaceRecycle is the regression test for the rescue
+// race: the watchdog used to select stalled runs under the engine mutex,
+// drop it, and then dereference r.dyn, while Run.Wait nils that field and
+// recycles the handle under the mutex — a run resolved from outside in
+// between was drained through a nil or foreign DynRun. Selection and
+// drain are now one critical section, so the resolver above cannot even
+// publish its word until the drain is over.
+func TestWatchdogCannotRaceRecycle(t *testing.T) {
+	e := NewEngine(2)
+	defer e.Close()
+	d := &recycleDyn{t: t, next: make(chan *Run, 1)}
+	if _, err := e.SubmitDyn(d); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case nr := <-d.next:
+		// The resubmission stalls in turn and is failed the ordinary way.
+		var ue *UnresolvedFutureError
+		if err := nr.Wait(); !errors.As(err, &ue) {
+			t.Fatalf("resubmitted run: Wait = %v, want *UnresolvedFutureError", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("watchdog never reached the stalled run")
+	}
+	if n := e.Metrics().Snapshot().Get(telemetry.MRescues); n != 2 {
+		t.Fatalf("rescues = %d, want 2 (the raced run and its resubmission)", n)
 	}
 }
 

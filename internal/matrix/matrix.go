@@ -82,6 +82,9 @@ func (m *Matrix) index(i, j int) int {
 	return (m.r0+i)*m.stride + (m.c0 + j)
 }
 
+// Addr returns the word address of element (i, j) of the view.
+func (m *Matrix) Addr(i, j int) int64 { return m.base + int64(m.index(i, j)) }
+
 // At returns element (i, j) of the view.
 func (m *Matrix) At(i, j int) float64 { return m.data[m.index(i, j)] }
 
@@ -93,16 +96,7 @@ func (m *Matrix) Add(i, j int, v float64) { m.data[m.index(i, j)] += v }
 
 // View returns the r×c sub-view whose top-left corner is (i0, j0).
 func (m *Matrix) View(i0, j0, r, c int) *Matrix {
-	if m.trans {
-		base := *m
-		base.trans = false
-		v := base.View(j0, i0, c, r)
-		v.trans = true
-		return v
-	}
-	if i0 < 0 || j0 < 0 || r < 1 || c < 1 || i0+r > m.rows || j0+c > m.cols {
-		panic(fmt.Sprintf("matrix.View: [%d:%d, %d:%d] out of %d×%d", i0, i0+r, j0, j0+c, m.rows, m.cols))
-	}
+	i0, j0, r, c = m.block(i0, j0, r, c)
 	return &Matrix{
 		data:   m.data,
 		base:   m.base,
@@ -111,7 +105,21 @@ func (m *Matrix) View(i0, j0, r, c int) *Matrix {
 		c0:     m.c0 + j0,
 		rows:   r,
 		cols:   c,
+		trans:  m.trans,
 	}
+}
+
+// block maps the view-relative block [i0:i0+r, j0:j0+c] to the underlying
+// orientation (a transposed view swaps the axes) and panics if it does not
+// lie inside the view.
+func (m *Matrix) block(i0, j0, r, c int) (int, int, int, int) {
+	if m.trans {
+		i0, j0, r, c = j0, i0, c, r
+	}
+	if i0 < 0 || j0 < 0 || r < 1 || c < 1 || i0+r > m.rows || j0+c > m.cols {
+		panic(fmt.Sprintf("matrix.View: [%d:%d, %d:%d] out of %d×%d", i0, i0+r, j0, j0+c, m.rows, m.cols))
+	}
+	return i0, j0, r, c
 }
 
 // Quad returns quadrant (qi, qj) of an even-dimensioned view:
@@ -136,20 +144,38 @@ func (m *Matrix) IsTransposed() bool { return m.trans }
 
 // Footprint returns the set of word addresses covered by the view.
 func (m *Matrix) Footprint() footprint.Set {
-	rows, cols, stride := m.rows, m.cols, m.stride // underlying orientation
-	ivs := make([]footprint.Interval, 0, rows)
-	for i := 0; i < rows; i++ {
-		lo := m.base + int64((m.r0+i)*stride+m.c0)
-		ivs = append(ivs, footprint.Interval{Lo: lo, Hi: lo + int64(cols)})
+	return rowIntervals(m.base+int64(m.r0*m.stride+m.c0), m.rows, m.cols, m.stride)
+}
+
+// BlockFootprint returns View(i0, j0, r, c).Footprint() without allocating
+// the view, for builders that need a block's addresses but never its cells.
+func (m *Matrix) BlockFootprint(i0, j0, r, c int) footprint.Set {
+	i0, j0, r, c = m.block(i0, j0, r, c)
+	return rowIntervals(m.base+int64((m.r0+i0)*m.stride+m.c0+j0), r, c, m.stride)
+}
+
+// rowIntervals returns the footprint of rows row segments of cols words,
+// stride words apart, the first at lo, already in Set normal form and in
+// one allocation: rows that abut (full-width blocks) or a single row are
+// one interval, and otherwise cols < stride keeps the segments apart.
+func rowIntervals(lo int64, rows, cols, stride int) footprint.Set {
+	if rows == 1 || cols == stride {
+		return footprint.Set{{Lo: lo, Hi: lo + int64((rows-1)*stride+cols)}}
 	}
-	return footprint.New(ivs...)
+	out := make(footprint.Set, rows)
+	for i := range out {
+		out[i] = footprint.Interval{Lo: lo, Hi: lo + int64(cols)}
+		lo += int64(stride)
+	}
+	return out
 }
 
 // Footprints unions the footprints of several views.
 func Footprints(ms ...*Matrix) footprint.Set {
-	sets := make([]footprint.Set, len(ms))
-	for i, m := range ms {
-		sets[i] = m.Footprint()
+	var buf [4]footprint.Set
+	sets := buf[:0]
+	for _, m := range ms {
+		sets = append(sets, m.Footprint())
 	}
 	return footprint.UnionAll(sets...)
 }

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -216,6 +217,59 @@ func TestLUPanel(t *testing.T) {
 	}
 	if d := MaxAbsDiff(rec, pa); d > 1e-9 {
 		t.Fatalf("P·A = L·U residual = %g", d)
+	}
+}
+
+// rowByRowFootprint is Footprint as it was written before the cold-path
+// diet: one interval per row of the underlying orientation, normalized by
+// footprint.New. The direct construction must give the same sets.
+func rowByRowFootprint(m *Matrix) footprint.Set {
+	ivs := make([]footprint.Interval, 0, m.rows)
+	for i := 0; i < m.rows; i++ {
+		lo := m.base + int64((m.r0+i)*m.stride+m.c0)
+		ivs = append(ivs, footprint.Interval{Lo: lo, Hi: lo + int64(m.cols)})
+	}
+	return footprint.New(ivs...)
+}
+
+func TestFootprintMatchesRowByRow(t *testing.T) {
+	sp := NewSpace()
+	sp.Alloc(5) // a base other than zero
+	m := New(sp, 6, 8)
+	tall := New(sp, 7, 1)
+	views := map[string]*Matrix{
+		"plain":             m,
+		"strided":           m.View(1, 2, 3, 4),
+		"single row":        m.View(4, 1, 1, 6),
+		"single cell":       m.View(5, 7, 1, 1),
+		"full width":        m.View(2, 0, 3, 8),
+		"single column":     m.View(0, 3, 6, 1),
+		"one-column matrix": tall.View(2, 0, 4, 1),
+		"transposed":        m.T(),
+		"transposed view":   m.T().View(2, 1, 4, 3),
+		"view of view":      m.View(1, 1, 4, 6).View(1, 2, 2, 3),
+	}
+	for name, v := range views {
+		got, want := v.Footprint(), rowByRowFootprint(v)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Footprint = %v, row by row = %v", name, got, want)
+		}
+		if got.Words() != int64(v.Rows()*v.Cols()) {
+			t.Errorf("%s: %d words for a %d×%d view", name, got.Words(), v.Rows(), v.Cols())
+		}
+		// BlockFootprint is the footprint of the view it does not build.
+		for _, b := range [][4]int{{0, 0, v.Rows(), v.Cols()}, {0, 0, 1, 1}, {v.Rows() - 1, 0, 1, v.Cols()}, {0, v.Cols() - 1, v.Rows(), 1}} {
+			got, want := v.BlockFootprint(b[0], b[1], b[2], b[3]), rowByRowFootprint(v.View(b[0], b[1], b[2], b[3]))
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: BlockFootprint%v = %v, the view's = %v", name, b, got, want)
+			}
+		}
+	}
+	if w := m.Addr(2, 3); !m.View(2, 3, 1, 1).Footprint().Contains(w) || w != 5+2*8+3 {
+		t.Errorf("Addr(2,3) = %d", w)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.View(1, 2, 3, 4).Footprint() }); n != 2 {
+		t.Errorf("View+Footprint: %v allocations, want 2 (the view, the set)", n)
 	}
 }
 

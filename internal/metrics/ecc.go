@@ -62,7 +62,7 @@ func newECCEval(g *core.Graph, m int64, alpha float64) *eccEval {
 	// collapse onto one maximal-task edge; dedup those with packed keys.
 	seenE := map[uint64]bool{}
 	seenJ := map[joinSpec]bool{}
-	for _, a := range g.Arrows {
+	for _, a := range g.SortedArrows() {
 		uLo, uHi := e.d.maximalRange(a.From)
 		vLo, vHi := e.d.maximalRange(a.To)
 		if uLo == uHi && vLo == vHi {

@@ -204,7 +204,7 @@ func (s *Scheduler) Init(ctx *sim.Ctx) error {
 		lo, hi := node.LeafRange()
 		s.leavesLeft[node.ID] = int32(hi - lo)
 	}
-	for _, a := range ctx.Graph.Arrows {
+	for _, a := range ctx.Graph.SortedArrows() {
 		s.outArrows[a.From.ID] = append(s.outArrows[a.From.ID], a.To)
 		s.gateExact[a.To.ID]++
 		for anc := a.To; anc != nil && !anc.Contains(a.From); anc = anc.Parent {

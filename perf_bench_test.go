@@ -70,17 +70,18 @@ func BenchmarkRewrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(g.Arrows)), "arrows")
+	b.ReportMetric(float64(len(g.SortedArrows())), "arrows")
 }
 
 // BenchmarkCompile isolates the compile step: lowering a rewritten event
 // graph into the flat CSR ExecGraph.
 func BenchmarkCompile(b *testing.B) {
 	g := core.MustRewrite(fwProgram(b, 256, 8))
+	arrows := g.SortedArrows()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.NewExecGraph(g.P, g.Arrows); err != nil {
+		if _, err := core.BuildGraph(g.P, arrows); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,17 +93,18 @@ func BenchmarkCompile(b *testing.B) {
 // trackers run on. Paid once per ExecGraph, amortized across runs.
 func BenchmarkCompileWake(b *testing.B) {
 	g := core.MustRewrite(fwProgram(b, 256, 8))
+	arrows := g.SortedArrows()
 	b.ResetTimer()
 	b.ReportAllocs()
 	var counters int
 	for i := 0; i < b.N; i++ {
 		b.StopTimer() // the CSR compile itself is measured by BenchmarkCompile
-		eg, err := core.NewExecGraph(g.P, g.Arrows)
+		fresh, err := core.BuildGraph(g.P, arrows)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		counters = eg.Wake().NumCounters()
+		counters = fresh.Exec().Wake().NumCounters()
 	}
 	b.ReportMetric(float64(counters), "counters")
 }
