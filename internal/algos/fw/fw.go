@@ -23,7 +23,6 @@ package fw
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
@@ -109,9 +108,11 @@ var rules = core.RuleSet{
 type Op func(prev, diag float64) float64
 
 // MixOp is the default operator: exact integer arithmetic bounded by a
-// modulus, asymmetric in its arguments.
+// modulus, asymmetric in its arguments. Cells are integers (row 0 below
+// 2²⁴, the rest residues), so the sum is an exact non-negative integer
+// below 2²⁶ and its integer remainder is math.Mod's, bit for bit.
 func MixOp(prev, diag float64) float64 {
-	return math.Mod(prev+2*diag+1, 1021)
+	return float64(int64(prev+2*diag+1) % 1021)
 }
 
 // Instance is a 1-D Floyd–Warshall table: rows are time steps, columns are
@@ -206,12 +207,14 @@ func (inst *Instance) leafB(lo, hi, c0, c1 int) *core.Node {
 	)
 }
 
+//ndlint:noalloc
 func (inst *Instance) compute(lo, hi, c0, c1 int) {
-	tab := inst.Table
+	tab, op := inst.Table, inst.Op
 	for t := lo; t < hi; t++ {
-		diag := tab.At(t-1, t-1)
-		for i := c0; i < c1; i++ {
-			tab.Set(t, i, inst.Op(tab.At(t-1, i), diag))
+		prev, cur := tab.Row(t-1), tab.Row(t)[c0:c1]
+		diag := prev[t-1]
+		for i, p := range prev[c0:c1] {
+			cur[i] = op(p, diag)
 		}
 	}
 }

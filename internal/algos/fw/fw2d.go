@@ -2,7 +2,6 @@ package fw
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
@@ -138,15 +137,19 @@ func (a *APSP) leaf(labels *algos.Labels, x, u, v *matrix.Matrix) *core.Node {
 }
 
 // updMinPlus is the base-case kernel: x_ij = min(x_ij, u_ik + v_kj) with k
-// outermost, matching Floyd–Warshall's in-place semantics.
+// outermost, matching Floyd–Warshall's in-place semantics (the views may
+// alias: every cell is read where the textbook loop reads it).
+//
+//ndlint:noalloc
 func updMinPlus(x, u, v *matrix.Matrix) {
 	m := x.Rows()
 	for k := 0; k < m; k++ {
+		vk := v.Row(k)
 		for i := 0; i < m; i++ {
-			uik := u.At(i, k)
-			for j := 0; j < m; j++ {
-				if d := uik + v.At(k, j); d < x.At(i, j) {
-					x.Set(i, j, d)
+			uik, xi := u.Row(i)[k], x.Row(i)[:len(vk)]
+			for j, vkj := range vk {
+				if d := uik + vkj; d < xi[j] {
+					xi[j] = d
 				}
 			}
 		}
@@ -162,29 +165,10 @@ func New2D(inst *APSP, base int) (*core.Program, error) {
 	return core.NewProgram(inst.Tree(base), nil)
 }
 
-// Serial runs the textbook triple loop; the reference implementation.
-func (a *APSP) Serial() {
-	n := a.N
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			dik := a.Dist.At(i, k)
-			for j := 0; j < n; j++ {
-				if d := dik + a.Dist.At(k, j); d < a.Dist.At(i, j) {
-					a.Dist.Set(i, j, d)
-				}
-			}
-		}
-	}
-}
+// Serial runs the textbook triple loop — the base-case kernel on the whole
+// matrix; the reference implementation.
+func (a *APSP) Serial() { updMinPlus(a.Dist, a.Dist, a.Dist) }
 
 // MaxAbs2D returns the largest absolute difference between two instances'
 // distance matrices.
-func MaxAbs2D(a, b *APSP) float64 {
-	var d float64
-	for i := 0; i < a.N; i++ {
-		for j := 0; j < a.N; j++ {
-			d = math.Max(d, math.Abs(a.Dist.At(i, j)-b.Dist.At(i, j)))
-		}
-	}
-	return d
-}
+func MaxAbs2D(a, b *APSP) float64 { return matrix.MaxAbsDiff(a.Dist, b.Dist) }

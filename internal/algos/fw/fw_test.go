@@ -2,6 +2,7 @@ package fw
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/ndflow/ndflow/internal/algos"
@@ -123,5 +124,38 @@ func TestPaperRuleSetIncomplete(t *testing.T) {
 	}
 	if rep {
 		t.Fatal("the preprint's printed 1-D FW rules unexpectedly cover all dependencies; deviation note in DESIGN.md is stale")
+	}
+}
+
+// MixOp is integer arithmetic; it must return math.Mod's bits on every
+// operand pair a table can hold: prev is a row-0 value (an integer below
+// 2²⁴) or a residue, and so is diag. Every residue meets, in both
+// positions, a sample of residues and of row-0 values.
+func TestMixOpMatchesMod(t *testing.T) {
+	check := func(prev, diag float64) {
+		got, want := MixOp(prev, diag), math.Mod(prev+2*diag+1, 1021)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MixOp(%v, %v) = %v, math.Mod form %v", prev, diag, got, want)
+		}
+	}
+	sample := []float64{1021, 1022, 1<<24 - 1022, 1<<24 - 1}
+	for r := 0; r < 1021; r += 1 + r/16 { // dense near 0, every 64th by the end
+		sample = append(sample, float64(r), float64(1020-r))
+	}
+	state := uint64(7)
+	for i := 0; i < 256; i++ { // the generator NewInstance fills row 0 with
+		state = state*2862933555777941757 + 3037000493
+		sample = append(sample, float64(state>>40))
+	}
+	for r := 0; r < 1021; r++ {
+		for _, v := range sample {
+			check(float64(r), v)
+			check(v, float64(r))
+		}
+	}
+	for _, v := range sample {
+		for _, w := range sample {
+			check(v, w)
+		}
 	}
 }

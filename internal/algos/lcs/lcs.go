@@ -147,18 +147,22 @@ func (inst *Instance) leaf(r0, c0, size int) *core.Node {
 	)
 }
 
+//ndlint:noalloc
 func (inst *Instance) computeBlock(r0, c0, size int) {
-	tab := inst.Table
+	tab, s, t := inst.Table, inst.S.Row(0), inst.T.Row(0)[c0:c0+size]
 	for i := r0; i < r0+size; i++ {
-		si := inst.S.At(0, i)
-		for j := c0; j < c0+size; j++ {
-			var v float64
-			if si == inst.T.At(0, j) {
-				v = tab.At(i-1, j-1) + 1
+		// diag and left start one column left of the block, so index j is
+		// block column j in all four; left[j+1] is the cell cur[j] just set.
+		up, row := tab.Row(i-1), tab.Row(i)
+		diag, above := up[c0-1:][:len(t)], up[c0:][:len(t)]
+		left, cur := row[c0-1:][:len(t)], row[c0:][:len(t)]
+		si := s[i]
+		for j, tj := range t {
+			if si == tj {
+				cur[j] = diag[j] + 1
 			} else {
-				v = max(tab.At(i, j-1), tab.At(i-1, j))
+				cur[j] = max(left[j], above[j])
 			}
-			tab.Set(i, j, v)
 		}
 	}
 }

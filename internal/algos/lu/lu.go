@@ -130,21 +130,24 @@ func (inst *Instance) pivotApply(b, piv *matrix.Matrix, npiv int) *core.Node {
 			int64(npiv)*int64(width),
 			footprint.Union(fp, piv.Footprint()),
 			fp,
-			func() {
-				for j := 0; j < npiv; j++ {
-					// Pivot entries are relative to their panel's frame,
-					// which starts ⌊j/base⌋·base rows into this view
-					// (views and pivot slices always start at a panel
-					// boundary in this recursion).
-					target := (j/inst.Base)*inst.Base + int(piv.At(0, j))
-					if target != j {
-						matrix.SwapRows(chunk, j, target)
-					}
-				}
-			},
+			func() { inst.applyPivots(chunk, piv, npiv) },
 		))
 	}
 	return core.NewPar(chunks...)
+}
+
+// applyPivots applies the first npiv recorded row swaps to b, in order.
+// Pivot entries are relative to their panel's frame, which starts
+// ⌊j/base⌋·base rows into b (views and pivot slices always start at a
+// panel boundary in this recursion).
+//
+//ndlint:noalloc
+func (inst *Instance) applyPivots(b, piv *matrix.Matrix, npiv int) {
+	for j, p := range piv.Row(0)[:npiv] {
+		if target := (j/inst.Base)*inst.Base + int(p); target != j {
+			matrix.SwapRows(b, j, target)
+		}
+	}
 }
 
 // updateChunks builds the trailing update A22 −= L21·U12 as a parallel
@@ -170,18 +173,29 @@ func (inst *Instance) panelLeaf(a, piv *matrix.Matrix) *core.Node {
 		reads,
 		footprint.Union(reads, piv.Footprint()),
 		func() {
-			tmp := make([]int, w)
-			if err := matrix.LUPanel(a, tmp); err != nil {
-				if inst.err == nil {
-					inst.err = err
-				}
-				return
-			}
-			for j, p := range tmp {
-				piv.Set(0, j, float64(p))
+			if err := factorPanel(a, piv); err != nil && inst.err == nil {
+				inst.err = err
 			}
 		},
 	)
+}
+
+// factorPanel is the base case: LUPanel, its pivots stored as float64 in
+// piv's row through a stack buffer (no allocation up to 64 columns).
+func factorPanel(a, piv *matrix.Matrix) error {
+	var buf [64]int
+	tmp, w := buf[:], a.Cols()
+	if w > len(buf) {
+		tmp = make([]int, w)
+	}
+	if err := matrix.LUPanel(a, tmp); err != nil {
+		return err
+	}
+	row := piv.Row(0)
+	for j, p := range tmp[:w] {
+		row[j] = float64(p)
+	}
+	return nil
 }
 
 // label names a rows×cols strand; LU's blocks are not square, so the
@@ -204,14 +218,7 @@ func Serial(inst *Instance) error {
 func serialRec(inst *Instance, a, piv *matrix.Matrix) error {
 	w := a.Cols()
 	if w <= inst.Base {
-		tmp := make([]int, w)
-		if err := matrix.LUPanel(a, tmp); err != nil {
-			return err
-		}
-		for j, p := range tmp {
-			piv.Set(0, j, float64(p))
-		}
-		return nil
+		return factorPanel(a, piv)
 	}
 	m, w2 := a.Rows(), w/2
 	a1, a2 := a.View(0, 0, m, w2), a.View(0, w2, m, w2)
@@ -219,11 +226,7 @@ func serialRec(inst *Instance, a, piv *matrix.Matrix) error {
 	if err := serialRec(inst, a1, piv1); err != nil {
 		return err
 	}
-	for j := 0; j < w2; j++ {
-		if target := (j/inst.Base)*inst.Base + int(piv1.At(0, j)); target != j {
-			matrix.SwapRows(a2, j, target)
-		}
-	}
+	inst.applyPivots(a2, piv1, w2)
 	matrix.SolveUnitLowerLeft(a1.View(0, 0, w2, w2), a2.View(0, 0, w2, w2))
 	for r0 := w2; r0 < m; r0 += w2 {
 		matrix.MulAdd(a2.View(r0, 0, w2, w2), a1.View(r0, 0, w2, w2), a2.View(0, 0, w2, w2), -1)
@@ -231,11 +234,6 @@ func serialRec(inst *Instance, a, piv *matrix.Matrix) error {
 	if err := serialRec(inst, a.View(w2, w2, m-w2, w2), piv2); err != nil {
 		return err
 	}
-	lower := a1.View(w2, 0, m-w2, w2)
-	for j := 0; j < w2; j++ {
-		if target := (j/inst.Base)*inst.Base + int(piv2.At(0, j)); target != j {
-			matrix.SwapRows(lower, j, target)
-		}
-	}
+	inst.applyPivots(a1.View(w2, 0, m-w2, w2), piv2, w2)
 	return nil
 }

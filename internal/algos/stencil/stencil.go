@@ -23,7 +23,6 @@ package stencil
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
@@ -80,8 +79,11 @@ var rules = core.RuleSet{
 type Op func(left, mid float64) float64
 
 // MixOp is the default operator (exact integer arithmetic mod 2039).
+// Cells are integers (row 0 and the inflow column below 2¹⁹, the rest
+// residues), so the sum is an exact non-negative integer below 2²¹ and
+// its integer remainder is math.Mod's, bit for bit.
 func MixOp(left, mid float64) float64 {
-	return math.Mod(left+3*mid+1, 2039)
+	return float64(int64(left+3*mid+1) % 2039)
 }
 
 // Instance is a stencil table: rows are time steps 0..N (row 0 given),
@@ -151,11 +153,14 @@ func (inst *Instance) leaf(lo, hi, c0, c1 int) *core.Node {
 	)
 }
 
+//ndlint:noalloc
 func (inst *Instance) compute(lo, hi, c0, c1 int) {
-	tab := inst.Table
+	tab, op := inst.Table, inst.Op
 	for t := lo; t < hi; t++ {
-		for i := c0; i < c1; i++ {
-			tab.Set(t, i, inst.Op(tab.At(t-1, i-1), tab.At(t-1, i)))
+		prev, cur := tab.Row(t-1), tab.Row(t)[c0:c1]
+		left, mid := prev[c0-1:][:len(cur)], prev[c0:][:len(cur)]
+		for i := range cur {
+			cur[i] = op(left[i], mid[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/ndflow/ndflow/internal/algos"
@@ -133,4 +134,37 @@ func TestAvailableParallelism(t *testing.T) {
 		t.Errorf("ND peak width %d below NP %d", nd, np)
 	}
 	t.Logf("peak ready-front width: ND=%d NP=%d", nd, np)
+}
+
+// MixOp is integer arithmetic; it must return math.Mod's bits on every
+// operand pair a table can hold: each operand is a row-0 or inflow value
+// (an integer below 2¹⁹) or a residue. Every residue meets, in both
+// positions, a sample of residues and of row-0 values.
+func TestMixOpMatchesMod(t *testing.T) {
+	check := func(left, mid float64) {
+		got, want := MixOp(left, mid), math.Mod(left+3*mid+1, 2039)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MixOp(%v, %v) = %v, math.Mod form %v", left, mid, got, want)
+		}
+	}
+	sample := []float64{2039, 2040, 1<<19 - 2040, 1<<19 - 1}
+	for r := 0; r < 2039; r += 1 + r/16 { // dense near 0, every 128th by the end
+		sample = append(sample, float64(r), float64(2038-r))
+	}
+	state := uint64(7)
+	for i := 0; i < 256; i++ { // the generator NewInstance fills row 0 with
+		state = state*6364136223846793005 + 1442695040888963407
+		sample = append(sample, float64(state>>45))
+	}
+	for r := 0; r < 2039; r++ {
+		for _, v := range sample {
+			check(float64(r), v)
+			check(v, float64(r))
+		}
+	}
+	for _, v := range sample {
+		for _, w := range sample {
+			check(v, w)
+		}
+	}
 }

@@ -94,6 +94,50 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[m.index(i, j)] = v }
 // Add adds v to element (i, j) of the view.
 func (m *Matrix) Add(i, j int, v float64) { m.data[m.index(i, j)] += v }
 
+// row returns row i of the view's storage, ignoring orientation: offsets
+// and stride are resolved here, once, and the kernels range over the slice.
+func (m *Matrix) row(i int) []float64 {
+	lo := (m.r0+i)*m.stride + m.c0
+	return m.data[lo : lo+m.cols : lo+m.cols]
+}
+
+// Row returns row i of a view that is not transposed, aliasing its
+// storage, for leaf bodies that sweep a table row by row.
+func (m *Matrix) Row(i int) []float64 {
+	if m.trans {
+		fail("matrix.Row: transposed view")
+	}
+	return m.row(i)
+}
+
+// fail panics out of line, so that boxing the message is not charged to
+// an //ndlint:noalloc caller it would be inlined into.
+//
+//go:noinline
+func fail(msg string) { panic(msg) }
+
+// strided returns the view's storage from its first element on and the
+// distances from an element to the ones below it and to its right.
+func (m *Matrix) strided() (d []float64, down, right int) {
+	d = m.data[m.r0*m.stride+m.c0:]
+	if m.trans {
+		return d, 1, m.stride
+	}
+	return d, m.stride, 1
+}
+
+// rowMajor returns a stand-in for a kernel operand that can be taken by
+// rows: a plain view stands for itself, a transposed one gets a plain copy
+// (which its caller copies back if the kernel wrote it). No builder
+// transposes anything but MulAdd's B, so this allocating detour is all
+// that keeps the other orientations accepted.
+func rowMajor(m *Matrix) *Matrix {
+	if m.trans {
+		return m.Copy(nil)
+	}
+	return m
+}
+
 // View returns the r×c sub-view whose top-left corner is (i0, j0).
 func (m *Matrix) View(i0, j0, r, c int) *Matrix {
 	i0, j0, r, c = m.block(i0, j0, r, c)
@@ -187,11 +231,7 @@ func (m *Matrix) Copy(s *Space) *Matrix {
 		s = NewSpace()
 	}
 	out := New(s, m.Rows(), m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			out.Set(i, j, m.At(i, j))
-		}
-	}
+	out.CopyFrom(m)
 	return out
 }
 
@@ -200,33 +240,47 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	if m.Rows() != src.Rows() || m.Cols() != src.Cols() {
 		panic(fmt.Sprintf("matrix.CopyFrom: shape mismatch %d×%d vs %d×%d", m.Rows(), m.Cols(), src.Rows(), src.Cols()))
 	}
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			m.Set(i, j, src.At(i, j))
+	if m.trans || src.trans {
+		for i := 0; i < m.Rows(); i++ {
+			for j := 0; j < m.Cols(); j++ {
+				m.Set(i, j, src.At(i, j))
+			}
 		}
+		return
+	}
+	for i := 0; i < m.rows; i++ {
+		copy(m.row(i), src.row(i))
 	}
 }
 
 // MaxAbsDiff returns the max absolute elementwise difference of two
-// same-shaped views.
+// same-shaped views, and +Inf if any difference is NaN: callers test
+// `d > tol`, which a NaN would pass.
 func MaxAbsDiff(a, b *Matrix) float64 {
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
 		panic("matrix.MaxAbsDiff: shape mismatch")
 	}
+	a, b = rowMajor(a), rowMajor(b)
 	var d float64
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
-			d = math.Max(d, math.Abs(a.At(i, j)-b.At(i, j)))
+	for i := 0; i < a.rows; i++ {
+		bi := b.row(i)
+		for j, v := range a.row(i) {
+			d = math.Max(d, math.Abs(v-bi[j]))
 		}
+	}
+	if d != d { // math.Max keeps a NaN once it has met one
+		return math.Inf(1)
 	}
 	return d
 }
 
-// FillRandom fills the view with uniform values in [-1, 1).
+// FillRandom fills the view with uniform values in [-1, 1), drawn in
+// row-major order of the view.
 func (m *Matrix) FillRandom(r *rand.Rand) {
+	d, down, right := m.strided()
 	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			m.Set(i, j, 2*r.Float64()-1)
+		for j, o := 0, i*down; j < m.Cols(); j, o = j+1, o+right {
+			d[o] = 2*r.Float64() - 1
 		}
 	}
 }
@@ -238,20 +292,13 @@ func (m *Matrix) FillSPD(r *rand.Rand) {
 	if n != m.Cols() {
 		panic("matrix.FillSPD: not square")
 	}
-	tmp := New(NewSpace(), n, n)
-	tmp.FillRandom(r)
+	a, g := New(NewSpace(), n, n), New(NewSpace(), n, n)
+	a.FillRandom(r)
+	MulAdd(g, a.T().Copy(nil), a, 1)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var v float64
-			for k := 0; k < n; k++ {
-				v += tmp.At(k, i) * tmp.At(k, j)
-			}
-			if i == j {
-				v += float64(n)
-			}
-			m.Set(i, j, v)
-		}
+		g.row(i)[i] += float64(n)
 	}
+	m.CopyFrom(g)
 }
 
 // FillLowerTriangular fills the square view with a well-conditioned lower

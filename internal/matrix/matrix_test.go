@@ -316,3 +316,25 @@ func TestQuickSolveRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A kernel that returns NaN must fail every `if d > tol` check:
+// math.Max(d, NaN) is NaN, and NaN > tol is false.
+func TestMaxAbsDiffNaN(t *testing.T) {
+	a, b := New(NewSpace(), 3, 3), New(NewSpace(), 3, 3)
+	if d := MaxAbsDiff(a, b); d != 0 {
+		t.Fatalf("equal matrices differ by %v", d)
+	}
+	b.Set(2, 2, 0.5)
+	if d := MaxAbsDiff(a, b); d != 0.5 {
+		t.Fatalf("MaxAbsDiff = %v, want 0.5", d)
+	}
+	for _, at := range [][2]int{{0, 0}, {1, 2}, {2, 2}} {
+		c := b.Copy(nil)
+		c.Set(at[0], at[1], math.NaN())
+		for _, d := range []float64{MaxAbsDiff(a, c), MaxAbsDiff(c, a), MaxAbsDiff(c.T(), a)} {
+			if !(d > 1e-9) || !math.IsInf(d, 1) {
+				t.Fatalf("NaN at %v: MaxAbsDiff = %v, want +Inf", at, d)
+			}
+		}
+	}
+}
