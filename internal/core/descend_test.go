@@ -40,10 +40,9 @@ func TestDescendAllDedup(t *testing.T) {
 	}
 }
 
-// BenchmarkDescendAll measures the wildcard descent on a realistic
-// recursive tree; the allocs/op column is the point — with caller-owned
-// scratch it is zero once the scratch has grown.
-func BenchmarkDescendAll(b *testing.B) {
+// TestDescendAllDoesNotAllocate: with caller-owned scratch, the wildcard
+// descent on a recursive tree allocates nothing once the scratch has grown.
+func TestDescendAllDoesNotAllocate(t *testing.T) {
 	// Balanced 4-ary tree of internal Par nodes, depth 4.
 	var build func(depth int) *Node
 	build = func(depth int) *Node {
@@ -57,18 +56,21 @@ func BenchmarkDescendAll(b *testing.B) {
 		return NewPar(kids...)
 	}
 	root := build(4)
-	if _, err := NewProgram(root, nil); err != nil {
-		b.Fatal(err)
-	}
+	mustProgram(t, root, nil)
 	ped := Pedigree{Wildcard, 2, Wildcard}
 	var scratch []*Node
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	descend := func() {
 		var err error
 		if scratch, err = root.DescendAll(ped, scratch[:0]); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+	}
+	descend() // grow the scratch
+	if len(scratch) != 16 {
+		t.Fatalf("DescendAll(*.2.*) found %d nodes, want 16", len(scratch))
+	}
+	if avg := testing.AllocsPerRun(100, descend); avg != 0 {
+		t.Fatalf("DescendAll allocates %.2f objects/call with grown scratch, want 0", avg)
 	}
 }
 

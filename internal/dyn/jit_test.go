@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/ndflow/ndflow/internal/algos"
+	"github.com/ndflow/ndflow/internal/algos/fw"
+	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/matrix"
 )
 
 // gatedSquares builds a replayable program: k workers fill out, each
@@ -83,6 +88,49 @@ func TestProgramCompilesAndReplays(t *testing.T) {
 	}
 	if st.Records != 1 || st.Vetoes != 0 {
 		t.Fatalf("stats after warm run: %+v, want 1 record, 0 vetoes", st)
+	}
+}
+
+// TestProgramWarmReplayBudget pins the compiled path of a Replay-backed
+// Program past its ladder, on nil-body FW-1D at two sizes: it stays
+// compiled, every warm run is a hit with no divergence, and a warm run
+// allocates exactly twice whatever the shape's size.
+func TestProgramWarmReplayBudget(t *testing.T) {
+	for _, n := range []int{64, 256} {
+		t.Run(fmt.Sprintf("FW-1D-%d", n), func(t *testing.T) {
+			prog, err := fw.New(algos.ND, fw.NewInstance(matrix.NewSpace(), n, 11), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range prog.Leaves {
+				l.Run = nil
+			}
+			eg := core.MustRewrite(prog).Exec()
+			e := cleanEngine(t, 2)
+			p := NewProgram(Replay(eg, StrandDeps(eg)))
+			run := func() {
+				if err := p.Run(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 6; i++ { // observe ×2, record, warm replays
+				run()
+			}
+			if !p.Compiled() {
+				t.Fatalf("shape never compiled: %+v", p.Stats())
+			}
+			before := p.Stats()
+			const runs = 100
+			avg := testing.AllocsPerRun(runs, run)
+			st := p.Stats()
+			// AllocsPerRun makes one unmeasured call before its runs.
+			if hits := st.Hits - before.Hits; hits != runs+1 || st.Divergences != 0 {
+				t.Fatalf("%d of %d warm runs hit the compiled path: %+v", hits, runs+1, st)
+			}
+			if avg != 2 {
+				t.Fatalf("warm replay allocates %.2f objects/run, want 2", avg)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ndflow/ndflow/internal/algos"
+	"github.com/ndflow/ndflow/internal/algos/fw"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/matrix"
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
@@ -207,33 +210,47 @@ func TestEngineClose(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs asserts the amortization claim: once the
-// program is cached and an instance pooled, Engine.Run allocates nothing.
+// program is cached and an instance pooled, Engine.Run allocates nothing,
+// under every policy, untraced and with an armed tracer whose stitched
+// trace is taken and recycled after each run. The graph is nil-body
+// FW-1D 256/4 (4096 strands).
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	e := NewEngine(2)
-	defer e.Close()
-	var g *core.Graph
-	for seed := int64(0); g == nil && seed < 40; seed++ {
-		g, _, _ = engineGraph(t, seed)
+	prog, err := fw.New(algos.ND, fw.NewInstance(matrix.NewSpace(), 256, 11), 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g == nil {
-		t.Fatal("no random seed produced a graph")
-	}
-	for _, l := range g.P.Leaves {
+	for _, l := range prog.Leaves {
 		l.Run = nil
 	}
-	p := g.P
-	for i := 0; i < 10; i++ { // warm: cache fill, pool fill, buffer growth
-		if err := e.Run(p); err != nil {
-			t.Fatal(err)
+	for _, policy := range allPolicies {
+		for _, traced := range []bool{false, true} {
+			name := policy.String()
+			var trc *telemetry.Tracer
+			opts := []Option{WithPolicy(policy)}
+			if traced {
+				name += "/traced"
+				trc = telemetry.NewTracer()
+				opts = append(opts, WithTracing(trc))
+			}
+			t.Run(name, func(t *testing.T) {
+				e := NewEngine(2, opts...)
+				defer e.Close()
+				run := func() {
+					if err := e.Run(prog); err != nil {
+						t.Fatal(err)
+					}
+					if trc != nil {
+						trc.Recycle(trc.TakeLast())
+					}
+				}
+				for i := 0; i < 10; i++ { // warm: cache fill, pool fill, deque and trace slab growth
+					run()
+				}
+				if avg := testing.AllocsPerRun(50, run); avg != 0 {
+					t.Fatalf("steady-state Engine.Run allocates %.2f objects/run, want 0", avg)
+				}
+			})
 		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if err := e.Run(p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 1 {
-		t.Fatalf("steady-state Engine.Run allocates %.2f objects/run, want ~0", avg)
 	}
 }
 

@@ -13,15 +13,13 @@ import (
 	"strings"
 )
 
-// Table is a printable experiment result. The JSON form (see
-// `ndbench -json`) is the machine-readable shape downstream tooling
-// tracks across commits.
+// Table is a printable experiment result.
 type Table struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
+	ID      string
+	Title   string
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 }
 
 // AddRow appends a formatted row.
@@ -81,8 +79,8 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Config controls experiment sizes. Quick shrinks problem sizes for use
-// inside `go test -bench` and CI.
+// Config controls experiment sizes. Quick shrinks problem sizes for the
+// golden tests and CI.
 type Config struct {
 	Quick bool
 }
