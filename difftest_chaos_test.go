@@ -85,7 +85,7 @@ func golden(tb testing.TB, c diffCase, model string) []uint64 {
 	return bits(outs)
 }
 
-// TestChaosPanicWall: 8 builders × 10 runtimes. Each runtime executes a
+// TestChaosPanicWall: 8 builders × 9 runtimes. Each runtime executes a
 // sabotaged instance (must fail typed, within the deadline), then a
 // clean instance on the very same engine (must match golden bits).
 func TestChaosPanicWall(t *testing.T) {
@@ -93,8 +93,6 @@ func TestChaosPanicWall(t *testing.T) {
 	defer eng.Close()
 	locEng := diffEngine(t, exec.PolicyLocality)
 	defer locEng.Close()
-	cpEng := diffEngine(t, exec.PolicyCriticalPath)
-	defer cpEng.Close()
 	rlxEng := diffEngine(t, exec.PolicyRelaxed)
 	defer rlxEng.Close()
 	runtimes := []struct {
@@ -117,7 +115,6 @@ func TestChaosPanicWall(t *testing.T) {
 			p := dyn.NewProgram(dyn.Replay(eg, dyn.StrandDeps(eg)))
 			return p.Run(eng)
 		}},
-		{"engine-critpath", false, submitTo(cpEng)},
 		{"engine-relaxed", false, submitTo(rlxEng)},
 	}
 	for _, c := range diffCases() {

@@ -1,14 +1,14 @@
 // Cross-runtime differential tests: every algorithm builder executed via
 // the serial elision, the adversarial serial orders (random topological,
 // reverse greedy), the one-shot work stealer, the long-lived engine under
-// each of its four policies, the online dynamic runtime and its JIT must
+// each of its three policies, the online dynamic runtime and its JIT must
 // produce bit-identical output matrices. The
 // compiled runtimes propagate readiness through the strand-level wake
 // graph (serial drivers via Tracker, parallel ones via
 // ConcurrentTracker); the dynamic runtime rebuilds the dependency
 // structure online from Spawn/Future gating and learns the DAG one task
 // at a time; the locality-aware engine re-routes anchored strands
-// through cache-domain mailboxes. All ten execute the same strand
+// through cache-domain mailboxes. All nine execute the same strand
 // closures, and the deps validator guarantees conflicting accesses are
 // ordered by the DAG, so any divergence — down to the last mantissa bit —
 // is a scheduler, wake-graph-collapse, suspension or anchoring bug. Run
@@ -204,7 +204,7 @@ func diffBits(t *testing.T, label string, got, want []uint64) {
 }
 
 // diffPolicies is the Policy enum: the walls below run on every one.
-var diffPolicies = []exec.Policy{exec.PolicyFIFO, exec.PolicyCriticalPath, exec.PolicyRelaxed, exec.PolicyLocality}
+var diffPolicies = []exec.Policy{exec.PolicyFIFO, exec.PolicyRelaxed, exec.PolicyLocality}
 
 // diffEngine starts a 4-worker engine under the policy, with any further
 // options. PolicyLocality gets a deliberately tiny hierarchy: the L2
@@ -251,8 +251,6 @@ func TestRuntimesBitIdentical(t *testing.T) {
 	defer eng.Close()
 	locEng := diffEngine(t, exec.PolicyLocality)
 	defer locEng.Close()
-	cpEng := diffEngine(t, exec.PolicyCriticalPath)
-	defer cpEng.Close()
 	rlxEng := diffEngine(t, exec.PolicyRelaxed)
 	defer rlxEng.Close()
 	runtimes := []struct {
@@ -294,10 +292,6 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			}
 			return nil
 		}},
-		// The critical-path-first policy: fan-outs and the injector
-		// order deepest-first by compile-time depth-to-sink. Order
-		// changes, outputs must not.
-		{"engine-critpath", false, submitTo(cpEng)},
 		// The relaxed MultiQueue engine: the ready structure is
 		// approximate-priority per-worker queue pairs with
 		// pick-2-random stealing; the wake graph still gates readiness,

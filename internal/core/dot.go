@@ -85,10 +85,10 @@ func WriteWakeGraphDOT(w io.Writer, g *Graph) error {
 
 // WritePriorityDOT renders the strand-level wake graph shaded by the
 // scheduler's priority table: each strand gate filled on a grayscale
-// ramp by its depth-to-sink (darker = deeper = scheduled first under
-// the critical-path policy) and labelled with the depth value. The
-// deepest initially-ready strand carries the whole span, so the darkest
-// doubled-border node is where a critical-path-first schedule starts.
+// ramp by its depth-to-sink (darker = deeper = preferred by the relaxed
+// MultiQueue policy) and labelled with the depth value. The deepest
+// initially-ready strand carries the whole span, so the darkest
+// doubled-border node is where the critical path starts.
 func WritePriorityDOT(w io.Writer, g *Graph) error {
 	eg := g.Exec()
 	wg := eg.Wake()

@@ -47,7 +47,6 @@ type ExecGraph struct {
 
 	prioOnce    sync.Once
 	strandDepth []int64 // per strand: longest path to the sink, incl. own work
-	prioInit    []int32 // initial-ready strands, deepest first
 }
 
 // newExecGraph compiles the event graph of p induced by the given dataflow

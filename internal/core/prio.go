@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // Priority table: longest path to the sink per strand, computed once at
 // compile time and cached on the ExecGraph next to taskSize.
 //
@@ -14,7 +12,7 @@ import "sort"
 // pass over the precomputed topological order, so it costs O(V+E) once
 // per compiled graph and nothing on any scheduling path.
 
-// buildPrio fills strandDepth and prioInit. Called via prioOnce.
+// buildPrio fills strandDepth. Called via prioOnce.
 func (e *ExecGraph) buildPrio() {
 	depth := make([]int64, e.numVerts)
 	for i := len(e.topo) - 1; i >= 0; i-- {
@@ -32,14 +30,6 @@ func (e *ExecGraph) buildPrio() {
 		sd[s] = depth[e.StrandStart(int32(s))]
 	}
 	e.strandDepth = sd
-
-	// The initially-ready strands, deepest first: the order a
-	// priority-aware scheduler should seed its ready structure in.
-	// Stable so equal-depth strands keep the wake graph's order and
-	// FIFO-policy runs stay comparable.
-	init := append([]int32(nil), e.Wake().InitialReady()...)
-	sort.SliceStable(init, func(i, j int) bool { return sd[init[i]] > sd[init[j]] })
-	e.prioInit = init
 }
 
 // StrandDepths returns the per-strand depth-to-sink table: for each
@@ -54,11 +44,3 @@ func (e *ExecGraph) StrandDepths() []int64 {
 
 // StrandDepth returns the depth-to-sink of one strand.
 func (e *ExecGraph) StrandDepth(id int32) int64 { return e.StrandDepths()[id] }
-
-// PrioInitialReady returns the initially-ready strands sorted by
-// descending depth-to-sink (ties keep InitialReady order). Shared; do
-// not modify.
-func (e *ExecGraph) PrioInitialReady() []int32 {
-	e.prioOnce.Do(e.buildPrio)
-	return e.prioInit
-}

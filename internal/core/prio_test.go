@@ -36,30 +36,6 @@ func TestStrandDepthsFigure3(t *testing.T) {
 	}
 }
 
-// TestPrioInitialReadyOrder checks the seeding order: the initial-ready
-// set sorted deepest-first, so a critical-path-first engine starts on
-// the chain that bounds the makespan.
-func TestPrioInitialReadyOrder(t *testing.T) {
-	shallow1, shallow2 := strand("s1", 1), strand("s2", 1)
-	deep := strand("deep", 10)
-	p := mustProgram(t, NewPar(NewSeq(shallow1, shallow2), deep), nil)
-	eg := MustRewrite(p).Exec()
-
-	init := eg.PrioInitialReady()
-	if len(init) != 2 {
-		t.Fatalf("PrioInitialReady = %v, want 2 initial strands", init)
-	}
-	if init[0] != eg.StrandID(deep) || init[1] != eg.StrandID(shallow1) {
-		t.Fatalf("PrioInitialReady = %v, want [%d %d] (deepest first)",
-			init, eg.StrandID(deep), eg.StrandID(shallow1))
-	}
-	// The plain initial-ready set must be a permutation of the sorted one.
-	plain := eg.Wake().InitialReady()
-	if len(plain) != len(init) {
-		t.Fatalf("InitialReady %v and PrioInitialReady %v disagree on size", plain, init)
-	}
-}
-
 // TestWritePriorityDOT smoke-checks the priority rendering: one filled
 // ellipse per strand, depth labels, doubled borders on initial strands,
 // and the span in the graph label.

@@ -30,19 +30,13 @@ const (
 	// owner pops and FIFO steals on the Chase–Lev deques, fan-out in
 	// wake-graph row order.
 	PolicyFIFO Policy = iota
-	// PolicyCriticalPath schedules deepest-first by compile-time
-	// depth-to-sink (core.ExecGraph.StrandDepths): the injector seeds
-	// initially-ready strands deepest first, fan-outs sort wakes by
-	// descending depth, and ready-chaining keeps the deepest successor.
-	// Deques are unchanged, so the policy costs one small sort per
-	// fan-out and nothing on the steal path.
-	PolicyCriticalPath
 	// PolicyRelaxed replaces the deque discipline for compiled strands
 	// with per-worker MultiQueue pairs (2 priority queues per worker,
 	// pick-2-random steals, pop-deeper-of-two-heads; see relaxed.go)
-	// keyed by depth-to-sink. Priority order is approximate — within
-	// O(P·log P) rank inversions with high probability — in exchange for
-	// contention-free pops under heavy load.
+	// keyed by compile-time depth-to-sink (core.ExecGraph.StrandDepths).
+	// Priority order is approximate — within O(P·log P) rank inversions
+	// with high probability — in exchange for contention-free pops under
+	// heavy load.
 	PolicyRelaxed
 	// PolicyLocality groups the workers into cache domains by a machine
 	// spec (pmh.DefaultSpec at the worker count, or the caller's through
@@ -55,18 +49,17 @@ const (
 )
 
 // String names the policy as it appears in pprof labels and tooling
-// output.
+// output; a value outside the enum prints as Policy(n).
 func (p Policy) String() string {
 	switch p {
-	case PolicyCriticalPath:
-		return "critpath"
+	case PolicyFIFO:
+		return "fifo"
 	case PolicyRelaxed:
 		return "relaxed"
 	case PolicyLocality:
 		return "locality"
-	default:
-		return "fifo"
 	}
+	return "Policy(" + strconv.Itoa(int(p)) + ")"
 }
 
 // Option configures an Engine at construction.
@@ -146,7 +139,7 @@ type Instance struct {
 	loc     *locState
 	locTopo *Topology
 	// prio is the compiled graph's depth-to-sink table, attached at
-	// submission by the priority-aware policies.
+	// submission by PolicyRelaxed.
 	prio []int64
 }
 
@@ -411,8 +404,9 @@ type Engine struct {
 
 // NewEngine starts an engine with the given worker count (GOMAXPROCS when
 // workers ≤ 0). The workers live until Close. Options select the
-// scheduling policy (default PolicyFIFO) and arm tracing or fault
-// injection; every option composes with every policy.
+// scheduling policy (default PolicyFIFO; a value outside the enum panics)
+// and arm tracing or fault injection; every option composes with every
+// policy.
 func NewEngine(workers int, opts ...Option) *Engine {
 	var cfg engineConfig
 	for _, o := range opts {

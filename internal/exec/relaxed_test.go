@@ -122,17 +122,3 @@ func TestMultiQueueSweep(t *testing.T) {
 		t.Fatalf("pushLocal balance: pair sizes %d/%d, want both non-empty summing to 10", a, b)
 	}
 }
-
-// TestSortByDepth pins the fan-out sort: descending by priority, stable
-// among equals.
-func TestSortByDepth(t *testing.T) {
-	prio := []int64{10, 30, 20, 30, 5}
-	ready := []int32{0, 1, 2, 3, 4}
-	sortByDepth(ready, prio)
-	want := []int32{1, 3, 2, 0, 4}
-	for i := range want {
-		if ready[i] != want[i] {
-			t.Fatalf("sortByDepth = %v, want %v", ready, want)
-		}
-	}
-}

@@ -2,7 +2,7 @@ package exec
 
 // The scheduler seam. Which structure holds a ready compiled strand
 // between the completion that enabled it and the worker that runs it is
-// the one thing the four policies disagree on, and readyQueue is the one
+// the one thing the three policies disagree on, and readyQueue is the one
 // place that knows it: NewEngine picks an implementer once, and submit,
 // the worker loop and acquire go through the interface without ever
 // asking which policy they serve. Everything else — the injector, the
@@ -11,11 +11,16 @@ package exec
 // option composes with every policy.
 //
 // The contract every implementer keeps: a sweep that returns false has
-// observed every structure the policy publishes into (its own and every
-// other worker's deque included) empty at some point during the call.
-// acquire's Dekker announce-then-recheck leans on exactly that — a
-// publication the first sweep raced past is seen by the recheck, or its
-// publisher saw the sleeper count and wakes the pool.
+// observed empty, at some point during the call, every structure that a
+// worker other than the sweeper can publish into — every other worker's
+// deque, every shared queue and mailbox. The sweeper's own deque is not
+// among them, and the sweeps skip it (stealFrom and stealNear pass over
+// self): its owner is the only worker that pushes to it, and the owner
+// is the one in acquire, which it reached by popping that deque dry, so
+// nothing can land there while it sweeps. acquire's Dekker
+// announce-then-recheck leans on exactly that — a publication the first
+// sweep raced past is seen by the recheck, or its publisher saw the
+// sleeper count and wakes the pool. TestSweepContract checks it.
 type readyQueue interface {
 	// seed publishes a new run's initially-ready strands and binds the
 	// per-instance state the policy steers by. Called by submit under the
@@ -34,12 +39,14 @@ type readyQueue interface {
 	sweep(w *Worker) (int64, bool)
 }
 
-// newReadyQueue builds the ready structure for the engine's policy.
+// newReadyQueue builds the ready structure for the engine's policy. A
+// value outside the enum panics: running it as FIFO would hide a stale
+// constant behind an engine that reports a policy it does not run.
 func newReadyQueue(e *Engine) readyQueue {
 	fifo := fifoSched{e}
 	switch e.policy {
-	case PolicyCriticalPath:
-		return &depthSched{fifo}
+	case PolicyFIFO:
+		return &fifo
 	case PolicyRelaxed:
 		return &relaxedSched{fifo, newMultiQueue(e.workers)}
 	case PolicyLocality:
@@ -48,9 +55,8 @@ func newReadyQueue(e *Engine) readyQueue {
 		// events ride the engine's tracer.
 		e.topo.met, e.topo.eng = e.met, e
 		return &localSched{fifo, e.topo, make([][]int64, e.workers)}
-	default:
-		return &fifo
 	}
+	panic("exec: NewEngine given unknown " + e.policy.String())
 }
 
 // wakeFor wakes up to n sleepers for n freshly pushed tasks; with no
@@ -63,7 +69,7 @@ func (e *Engine) wakeFor(n int) {
 
 // fifoSched is PolicyFIFO, deque-FIFO: submission order on the injector,
 // fan-out in wake-graph row order onto the worker's own Chase–Lev deque
-// (LIFO owner pops, FIFO steals). The other three embed it for the parts
+// (LIFO owner pops, FIFO steals). The other two embed it for the parts
 // of the discipline they keep.
 type fifoSched struct{ e *Engine }
 
@@ -101,68 +107,6 @@ func (s *fifoSched) sweep(w *Worker) (int64, bool) {
 		s.e.noteSteal(w.self, t, victim)
 	}
 	return t, ok
-}
-
-// depthSched is PolicyCriticalPath, deque-by-depth: the same deques,
-// ordered deepest-first by compile-time depth-to-sink. The policy costs
-// one small sort per fan-out and nothing on the steal path.
-type depthSched struct{ fifoSched }
-
-// seed enters the deepest strands into the injector first, so the long
-// chains are the first ones idle workers pick up.
-func (s *depthSched) seed(inst *Instance, slot int32) {
-	if inst.prio == nil {
-		inst.prio = inst.eg.StrandDepths()
-	}
-	for _, id := range inst.eg.PrioInitialReady() {
-		s.e.inject = append(s.e.inject, packTask(slot, id))
-	}
-}
-
-// publish sorts the ready list by descending depth-to-sink, chains the
-// deepest strand, and pushes the surplus deepest-first — thieves take
-// from the top (oldest), so the deepest surplus strand is the first one
-// stolen, while the owner unwinds its own shallow end last.
-//
-//ndlint:hotpath
-func (s *depthSched) publish(w *Worker, inst *Instance, slot, id int32, ready []int32) int64 {
-	// An all-tied fan-out carries no priority signal (symmetric wakes —
-	// the common case in uniform recurrences like FW), so it takes the
-	// FIFO fan-out unchanged.
-	prio := inst.prio
-	tied := true
-	for _, rid := range ready {
-		if prio[rid] != prio[ready[0]] {
-			tied = false
-			break
-		}
-	}
-	if tied {
-		return s.fifoSched.publish(w, inst, slot, id, ready)
-	}
-	sortByDepth(ready, prio)
-	d := s.e.deques[w.self]
-	for _, rid := range ready[1:] {
-		d.push(packTask(slot, rid))
-	}
-	s.e.wakeFor(len(ready) - 1)
-	return packTask(slot, ready[0])
-}
-
-// sortByDepth sorts ready by descending prio, stably, by insertion —
-// fan-outs are a handful of strands, so this beats sort.Slice's
-// interface overhead on the hot path.
-func sortByDepth(ready []int32, prio []int64) {
-	for i := 1; i < len(ready); i++ {
-		id := ready[i]
-		d := prio[id]
-		j := i - 1
-		for j >= 0 && prio[ready[j]] < d {
-			ready[j+1] = ready[j]
-			j--
-		}
-		ready[j+1] = id
-	}
 }
 
 // relaxedSched is PolicyRelaxed: compiled strands live in the MultiQueue

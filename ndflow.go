@@ -196,24 +196,23 @@ type Policy = exec.Policy
 type EngineOption = exec.Option
 
 // The scheduling policies: FIFO submission order with LIFO/steal deques
-// (the default); critical-path-first by compile-time depth-to-sink; the
-// relaxed MultiQueue structure (per-worker queue pairs, pick-2-random
-// stealing) trading strict priority order — within O(workers·log workers)
-// rank inversions w.h.p. — for contention-free throughput; and locality,
+// (the default); the relaxed MultiQueue structure (per-worker queue
+// pairs keyed by compile-time depth-to-sink, pick-2-random stealing)
+// trading strict priority order — within O(workers·log workers) rank
+// inversions w.h.p. — for contention-free throughput; and locality,
 // which groups the workers into cache domains shaped like a real machine
 // (pmh.DefaultSpec at the worker count), steals nearest-first, and
 // anchors tasks whose compiled footprint σ-fits a domain's cache to it —
 // the online analogue of the paper's space-bounded scheduler (§4;
 // internal/exec.WithTopology takes an explicit machine spec and σ).
 const (
-	PolicyFIFO         = exec.PolicyFIFO
-	PolicyCriticalPath = exec.PolicyCriticalPath
-	PolicyRelaxed      = exec.PolicyRelaxed
-	PolicyLocality     = exec.PolicyLocality
+	PolicyFIFO     = exec.PolicyFIFO
+	PolicyRelaxed  = exec.PolicyRelaxed
+	PolicyLocality = exec.PolicyLocality
 )
 
 // WithPolicy selects the engine's scheduling policy. It composes with
-// every other option: any policy can be traced and fault-injected.
+// every other option: any policy can be traced.
 func WithPolicy(p Policy) EngineOption { return exec.WithPolicy(p) }
 
 // --- Telemetry
@@ -286,31 +285,10 @@ var ErrRunCanceled = exec.ErrRunCanceled
 // return. Test with errors.Is.
 var ErrEngineClosed = exec.ErrEngineClosed
 
-// FaultKind is a chaos-testing fault decision; see WithFaultInjector.
-type FaultKind = exec.Fault
-
-// The chaos-hook fault decisions: run the strand normally, panic through
-// the recover path, delay briefly, or cancel the strand's run.
-const (
-	FaultNone   = exec.FaultNone
-	FaultPanic  = exec.FaultPanic
-	FaultDelay  = exec.FaultDelay
-	FaultCancel = exec.FaultCancel
-)
-
-// WithFaultInjector installs a chaos hook consulted at every compiled
-// strand dispatch — a test harness for proving systems built on the
-// engine survive panics, delays, and cancellations at arbitrary points.
-// The hook must be safe for concurrent use.
-func WithFaultInjector(fn func(strand int32) FaultKind) EngineOption {
-	return exec.WithFaultInjector(fn)
-}
-
 // NewEngine starts an engine with the given worker count (GOMAXPROCS when
 // workers ≤ 0). Submit work with Engine.Run or Engine.Submit; shut it
 // down with Engine.Close. Options select the scheduling policy and arm
-// tracing or fault injection, e.g. NewEngine(8, WithPolicy(PolicyLocality),
-// WithTracing(tr)).
+// tracing, e.g. NewEngine(8, WithPolicy(PolicyLocality), WithTracing(tr)).
 func NewEngine(workers int, opts ...EngineOption) *Engine { return exec.NewEngine(workers, opts...) }
 
 var (
@@ -411,9 +389,7 @@ type DynProgram = dyn.Program
 // compilation; run it with p.Run(engine). The first few runs execute
 // live while the shape cache warms (observe, then record), after which
 // repeated shapes run on the compiled engine.
-func NewDynProgram(root func(*TaskContext), cfg ...dyn.JITConfig) *DynProgram {
-	return dyn.NewProgram(root, cfg...)
-}
+func NewDynProgram(root func(*TaskContext)) *DynProgram { return dyn.NewProgram(root) }
 
 // --- Machine simulation
 

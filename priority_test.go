@@ -101,28 +101,6 @@ func TestPriorityTableStructure(t *testing.T) {
 				if first := eg.StrandID(cp[0]); depths[first] != span {
 					t.Fatalf("critical path head strand %d has depth %d, want the span %d", first, depths[first], span)
 				}
-
-				// PrioInitialReady is InitialReady as a descending-depth
-				// permutation.
-				prio := eg.PrioInitialReady()
-				init := wg.InitialReady()
-				if len(prio) != len(init) {
-					t.Fatalf("PrioInitialReady has %d strands, InitialReady %d", len(prio), len(init))
-				}
-				seen := make(map[int32]int)
-				for _, s := range init {
-					seen[s]++
-				}
-				for i, s := range prio {
-					if seen[s] == 0 {
-						t.Fatalf("PrioInitialReady[%d] = %d is not initially ready", i, s)
-					}
-					seen[s]--
-					if i > 0 && depths[prio[i-1]] < depths[s] {
-						t.Fatalf("PrioInitialReady not sorted: depth[%d]=%d before depth[%d]=%d",
-							prio[i-1], depths[prio[i-1]], s, depths[s])
-					}
-				}
 			})
 		}
 	}
