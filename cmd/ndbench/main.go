@@ -5,8 +5,8 @@
 //	ndbench                  # run every experiment at full size
 //	ndbench -quick           # smaller sizes (seconds, CI friendly)
 //	ndbench -experiment E4   # a single experiment
-//	ndbench -list            # list experiment IDs
 //
+// An unknown -experiment ID exits 1 and lists the valid IDs.
 // The runtime itself is measured by the repository benchmark in bench/
 // (bench/README.md).
 package main
@@ -23,16 +23,9 @@ func main() {
 	var (
 		id    = flag.String("experiment", "", "experiment ID to run (default: all)")
 		quick = flag.Bool("quick", false, "use reduced problem sizes")
-		list  = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
 
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
-		}
-		return
-	}
 	cfg := experiments.Config{Quick: *quick}
 	if *id == "" {
 		// The full sweep streams each table as it finishes — full-size

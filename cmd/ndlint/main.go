@@ -2,7 +2,6 @@
 // internal/lint analyzers — over the module and fails on findings:
 //
 //	go run ./cmd/ndlint ./...
-//	go run ./cmd/ndlint -json ./... > findings.json
 //
 // The suite mechanizes the hand-maintained concurrency invariants the
 // lock-free engine's correctness rests on (see DESIGN.md, "static
@@ -10,19 +9,15 @@
 // location; noalloc gates `//ndlint:noalloc` functions on the
 // compiler's escape analysis; nonblocking walks the call graph from
 // `//ndlint:hotpath` roots and flags blocking operations; padalign
-// sizes `//ndlint:cacheline` structs; taskword pins the packed
-// task-word bit layout. CI runs ndlint as a required job next to vet
-// and staticcheck.
+// sizes `//ndlint:cacheline` structs. CI runs ndlint as a required job
+// next to vet and staticcheck.
 //
-// With -json, findings print as a JSON array (file/line/col/analyzer/
-// message, same shape as lint.Finding) so tooling can diff findings
-// across PRs; an empty run prints []. Exit status: 0 clean, 1 findings,
-// 2 driver error (unloadable patterns, type errors, escape-analysis
-// failure).
+// Findings print one per line as file:line:col: analyzer: message.
+// Exit status: 0 clean, 1 findings, 2 driver error (unloadable
+// patterns, type errors, escape-analysis failure).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,21 +27,19 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ndlint [-json] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ndlint [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Suite() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
 	}
 	flag.Parse()
-	os.Exit(run(flag.Args(), *jsonOut, os.Stdout, os.Stderr))
+	os.Exit(run(flag.Args(), os.Stdout, os.Stderr))
 }
 
 // run executes the suite over patterns (default ./...) and writes
 // findings to out, returning the process exit code.
-func run(patterns []string, jsonOut bool, out, errw io.Writer) int {
+func run(patterns []string, out, errw io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -55,20 +48,8 @@ func run(patterns []string, jsonOut bool, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "ndlint: %v\n", err)
 		return 2
 	}
-	if jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(errw, "ndlint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(out, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
+	for _, f := range findings {
+		fmt.Fprintf(out, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(errw, "ndlint: %d finding(s)\n", len(findings))

@@ -2,23 +2,18 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
-
-	"github.com/ndflow/ndflow/internal/lint"
 )
 
 // TestRun drives the CLI entry over fixture packages under testdata/
 // (which `./...` never matches, so the deliberate findings stay out of
-// the module's own lint runs): the text format, the -json format on
-// both dirty and clean trees, the exit-code contract, and the driver
-// error path.
+// the module's own lint runs): the text format on dirty and clean
+// trees, the exit-code contract, and the driver error path.
 func TestRun(t *testing.T) {
 	cases := []struct {
 		name     string
 		patterns []string
-		json     bool
 		wantExit int
 		wantOut  []string // substrings of stdout, in order
 		wantErr  string   // substring of stderr, empty = none
@@ -34,27 +29,9 @@ func TestRun(t *testing.T) {
 			wantErr: "ndlint: 2 finding(s)",
 		},
 		{
-			name:     "json findings",
-			patterns: []string{"./testdata/src/demo"},
-			json:     true,
-			wantExit: 1,
-			wantOut: []string{
-				`"file": "testdata/src/demo/demo.go"`,
-				`"analyzer": "padalign"`,
-			},
-			wantErr: "ndlint: 2 finding(s)",
-		},
-		{
 			name:     "clean text",
 			patterns: []string{"./testdata/src/clean"},
 			wantExit: 0,
-		},
-		{
-			name:     "clean json is an empty array",
-			patterns: []string{"./testdata/src/clean"},
-			json:     true,
-			wantExit: 0,
-			wantOut:  []string{"[]"},
 		},
 		{
 			name:     "unloadable pattern is a driver error",
@@ -66,7 +43,7 @@ func TestRun(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errw bytes.Buffer
-			exit := run(tc.patterns, tc.json, &out, &errw)
+			exit := run(tc.patterns, &out, &errw)
 			if exit != tc.wantExit {
 				t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", exit, tc.wantExit, out.String(), errw.String())
 			}
@@ -86,30 +63,5 @@ func TestRun(t *testing.T) {
 				t.Fatalf("stderr missing %q:\n%s", tc.wantErr, errw.String())
 			}
 		})
-	}
-}
-
-// TestJSONShape pins the -json wire format: the output must round-trip
-// through lint.Finding with every field populated, so downstream
-// tooling can diff findings across PRs.
-func TestJSONShape(t *testing.T) {
-	var out, errw bytes.Buffer
-	if exit := run([]string{"./testdata/src/demo"}, true, &out, &errw); exit != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr: %s", exit, errw.String())
-	}
-	var findings []lint.Finding
-	if err := json.Unmarshal(out.Bytes(), &findings); err != nil {
-		t.Fatalf("output is not a findings array: %v\n%s", err, out.String())
-	}
-	if len(findings) != 2 {
-		t.Fatalf("got %d findings, want 2: %+v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if f.File == "" || f.Line == 0 || f.Col == 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("finding with unpopulated field: %+v", f)
-		}
-	}
-	if findings[0].Analyzer != "ndlint" || findings[1].Analyzer != "padalign" {
-		t.Errorf("findings out of order: %+v", findings)
 	}
 }

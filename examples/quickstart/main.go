@@ -7,14 +7,14 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sync/atomic"
 
 	ndflow "github.com/ndflow/ndflow"
 )
 
-func main() {
+func run(w io.Writer) error {
 	// ---- Part 1: the paper's Figure 3 ------------------------------
 	// MAIN() { F() FG~> G() }, F = A ; B, G = C ; D, and the fire rule
 	// +FG~>- = { +1 ; -1 }: only C depends on A, so D can overlap B.
@@ -24,27 +24,27 @@ func main() {
 			atomic.AddInt64(&executed, 1)
 		})
 	}
-	main := ndflow.Fire("FG",
+	fig3 := ndflow.Fire("FG",
 		ndflow.Seq(step("A"), step("B")),
 		ndflow.Seq(step("C"), step("D")),
 	)
 	rules := ndflow.RuleSet{
 		"FG": {ndflow.R("1", ndflow.FullDep, "1")},
 	}
-	prog, err := ndflow.NewProgram(main, rules)
+	prog, err := ndflow.NewProgram(fig3, rules)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	g, err := ndflow.Rewrite(prog)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Figure 3 program: work=%d span=%d (serial would be span=4)\n",
+	fmt.Fprintf(w, "Figure 3 program: work=%d span=%d (serial would be span=4)\n",
 		ndflow.Work(prog), ndflow.Span(g))
 	if err := ndflow.Run(g, 2); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("executed %d strands on the goroutine runtime\n\n", executed)
+	fmt.Fprintf(w, "executed %d strands on the goroutine runtime\n\n", executed)
 
 	// ---- Part 2: a custom recursive fire construct ------------------
 	// A pipeline of stages over a chunked buffer: stage two may process
@@ -77,32 +77,29 @@ func main() {
 	}
 	prog2, err := ndflow.NewProgram(pipeline, ndflow.RuleSet{"CHUNK": chunkRules})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	g2, err := ndflow.Rewrite(prog2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Prove the fire rules enforce every chunk's read-after-write.
 	checked, err := ndflow.CheckDependencies(g2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("pipeline: %d true dependencies, all enforced; span=%d vs serial %d\n",
+	fmt.Fprintf(w, "pipeline: %d true dependencies, all enforced; span=%d vs serial %d\n",
 		checked, ndflow.Span(g2), ndflow.Work(prog2))
 	if err := ndflow.Run(g2, 4); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("buffer:", buffer)
+	fmt.Fprintln(w, "buffer:", buffer)
+	return nil
+}
 
-	// ---- Part 3: render the spawn tree ------------------------------
-	f, err := os.Create("quickstart.dot")
-	if err != nil {
-		log.Fatal(err)
+func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
 	}
-	defer f.Close()
-	if err := ndflow.WriteSpawnTreeDOT(f, prog, g); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("wrote quickstart.dot (render with: dot -Tpng quickstart.dot)")
 }

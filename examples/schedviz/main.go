@@ -10,7 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -30,7 +30,15 @@ func main() {
 		base = flag.Int("base", 4, "base-case size")
 	)
 	flag.Parse()
+	if err := run(os.Stdout, *algo, *n, *base); err != nil {
+		fmt.Fprintln(os.Stderr, "schedviz:", err)
+		os.Exit(1)
+	}
+}
 
+// run simulates both schedulers on algo's NP and ND programs of size n
+// and prints one row per (model, scheduler) pair to out.
+func run(out io.Writer, algo string, n, base int) error {
 	spec := pmh.Spec{
 		ProcsPerL1: 1,
 		Caches: []pmh.CacheSpec{
@@ -40,28 +48,28 @@ func main() {
 		},
 		MemMissCost: 1000,
 	}
-	builder, err := experiments.BuilderByName(*algo)
+	builder, err := experiments.BuilderByName(algo)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("machine: %d processors, caches", spec.Processors())
+	fmt.Fprintf(out, "machine: %d processors, caches", spec.Processors())
 	for i, c := range spec.Caches {
-		fmt.Printf("  L%d=%dw×%d", i+1, c.Size, spec.CacheCount(i))
+		fmt.Fprintf(out, "  L%d=%dw×%d", i+1, c.Size, spec.CacheCount(i))
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "model\tscheduler\tmakespan\tutil\tL1 miss\tL2 miss\tL3 miss\tQ*(σM3) bound\tanchors")
 	for _, model := range []algos.Model{algos.NP, algos.ND} {
 		for _, policy := range []string{"WS", "SB"} {
-			g, err := builder.Build(model, *n, *base)
+			g, err := builder.Build(model, n, base)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			machine, err := pmh.New(spec)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			var sched sim.Scheduler
 			var sb *spacebound.Scheduler
@@ -73,7 +81,7 @@ func main() {
 			}
 			res, err := sim.Run(g, machine, sched)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			bound := metrics.PCC(g.P, int64(float64(spec.Caches[2].Size)/3))
 			anchors := "-"
@@ -85,7 +93,10 @@ func main() {
 				res.Misses[0], res.Misses[1], res.Misses[2], bound, anchors)
 		}
 	}
-	w.Flush()
-	fmt.Println("\nTheorem 1 predicts SB's L3 misses stay below the Q*(σM3) bound;")
-	fmt.Println("Theorem 3 predicts the ND model's makespan beats NP's as processors grow.")
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "\nTheorem 1 predicts SB's L3 misses stay below the Q*(σM3) bound;")
+	fmt.Fprintln(out, "Theorem 3 predicts the ND model's makespan beats NP's as processors grow.")
+	return nil
 }

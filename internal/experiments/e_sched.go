@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
-	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/metrics"
 	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/sched/spacebound"
@@ -19,7 +16,6 @@ func init() {
 	register("E4", e4Theorem1)
 	register("E5", e5Theorem3)
 	register("E7", e7Schedulers)
-	register("E9", e9Runtime)
 }
 
 // hierarchy returns the 3-level PMH used by the scheduling experiments:
@@ -93,7 +89,7 @@ func e5Theorem3(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Theorem 3: makespan vs balanced bound Σ Q*(t;σMi)·Ci/p (TRS)",
-		Columns: []string{"model", "p", "makespan", "balanced bound", "overhead", "speedup vs p=2"},
+		Columns: []string{"model", "p", "makespan", "balanced bound", "overhead", "speedup vs p=4"},
 	}
 	n := 64
 	widths := []int{1, 2, 4, 8}
@@ -181,52 +177,5 @@ func e7Schedulers(cfg Config) (*Table, error) {
 		}
 	}
 	t.Note("n=%d on a 3-level PMH with %d processors; SB should reduce shared-level (L2/L3) misses", n, spec.Processors())
-	return t, nil
-}
-
-// e9Runtime exercises the real goroutine runtime: wall-clock speedup of
-// the parallel executor over single-worker execution for ND TRS and LCS.
-func e9Runtime(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "E9",
-		Title:   "Real goroutine runtime: wall-clock scaling of ND programs",
-		Columns: []string{"algorithm", "workers", "time", "speedup"},
-	}
-	n, base := 256, 32
-	if cfg.Quick {
-		n, base = 128, 16
-	}
-	maxWorkers := runtime.NumCPU()
-	if maxWorkers > 8 {
-		maxWorkers = 8
-	}
-	for _, name := range []string{"TRS", "LCS"} {
-		b, err := BuilderByName(name)
-		if err != nil {
-			return nil, err
-		}
-		var t1 time.Duration
-		workerCounts := []int{1, 2, maxWorkers}
-		if maxWorkers <= 2 {
-			workerCounts = []int{1, maxWorkers}
-		}
-		for _, workers := range workerCounts {
-			g, err := b.Build(algos.ND, n, base)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if err := exec.RunParallel(g, workers); err != nil {
-				return nil, err
-			}
-			elapsed := time.Since(start)
-			if workers == 1 {
-				t1 = elapsed
-			}
-			t.AddRow(name, workers, elapsed.Round(time.Microsecond).String(),
-				float64(t1)/float64(elapsed))
-		}
-	}
-	t.Note("n=%d base=%d; wall-clock times are machine dependent", n, base)
 	return t, nil
 }

@@ -24,7 +24,7 @@ func runQuick(t *testing.T, id string) *Table {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"A1", "A2", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
+	want := []string{"A1", "A2", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registered experiments = %v, want %v", got, want)
@@ -100,11 +100,4 @@ func TestAblationsRun(t *testing.T) {
 	if len(a2.Rows) != 4 {
 		t.Fatalf("A2 rows = %d, want 4 alpha settings", len(a2.Rows))
 	}
-}
-
-func TestE9Runs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock experiment")
-	}
-	runQuick(t, "E9")
 }

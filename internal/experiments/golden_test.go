@@ -10,22 +10,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment tables in testdata/")
 
-// volatileRows lists the experiments whose row content AND row count are
-// machine-dependent (wall-clock cells, worker ladders derived from
-// NumCPU). Their golden record pins only the shape: title, columns and
-// notes. Everything else is fully deterministic and compared verbatim.
-var volatileRows = map[string]bool{
-	"E9": true,
-}
-
-// renderMasked renders the table, dropping machine-dependent rows.
-func renderMasked(tab *Table) string {
-	masked := *tab
-	if volatileRows[tab.ID] {
-		masked.Rows = nil
-	}
+// render prints the table exactly as ndbench does.
+func render(tab *Table) string {
 	var sb strings.Builder
-	masked.Fprint(&sb)
+	tab.Fprint(&sb)
 	return sb.String()
 }
 
@@ -40,14 +28,11 @@ func TestGoldenTables(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			if id == "E9" && testing.Short() {
-				t.Skip("wall-clock experiment")
-			}
 			tab, err := Run(id, Config{Quick: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderMasked(tab)
+			got := render(tab)
 			path := filepath.Join("testdata", id+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -71,16 +56,13 @@ func TestGoldenTables(t *testing.T) {
 }
 
 // TestGoldenTablesDeterministic guards the golden scheme itself: two
-// back-to-back runs of every non-wall-clock experiment must render
+// back-to-back runs of every experiment must render
 // identically, so golden failures always mean drift, never flake.
 func TestGoldenTablesDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
 	for _, id := range IDs() {
-		if volatileRows[id] {
-			continue
-		}
 		a, err := Run(id, Config{Quick: true})
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +71,7 @@ func TestGoldenTablesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if renderMasked(a) != renderMasked(b) {
+		if render(a) != render(b) {
 			t.Fatalf("%s renders differently across identical runs; it cannot be golden-tested", id)
 		}
 	}

@@ -2,8 +2,8 @@
 // paper — the §3 span theorems, Claim 1's cache complexities, Theorem 1's
 // per-level miss bounds, Theorem 3's running-time bound, Claims 2–3's
 // parallelizability orderings, and the scheduler comparisons — as printed
-// tables. Each experiment is registered under the ID used in DESIGN.md
-// and EXPERIMENTS.md (E1…E9).
+// tables. Each experiment is registered under the ID used in DESIGN.md's
+// experiment index (E1…E8, A1…A2).
 package experiments
 
 import (

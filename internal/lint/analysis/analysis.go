@@ -20,8 +20,8 @@ import (
 	"go/types"
 )
 
-// Analyzer describes one invariant checker. Name appears in findings
-// and JSON output; Doc is the one-paragraph contract shown by
+// Analyzer describes one invariant checker. Name appears in findings;
+// Doc is the one-paragraph contract shown by
 // `ndlint -help`.
 type Analyzer struct {
 	Name string
@@ -37,16 +37,11 @@ type Analyzer struct {
 
 // Pass carries one type-checked package through one analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Sizes     types.Sizes
-
-	// Dir is the package directory on disk; ImportPath its module path.
-	Dir        string
-	ImportPath string
 
 	// Escapes holds the package's compiler escape-analysis marks when
 	// Analyzer.NeedsEscapes is set; nil otherwise.

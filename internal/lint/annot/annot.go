@@ -5,11 +5,10 @@
 //	//ndlint:noalloc                 — function must not heap-allocate
 //	//ndlint:hotpath                 — function roots a non-blocking call-graph walk
 //	//ndlint:cacheline               — struct must be a 64-byte multiple
-//	//ndlint:taskword f=lo[:hi] ...  — packed-word bit-layout spec
 //	//ndlint:allowblock <reason>     — suppress one nonblocking finding
 //	//ndlint:allowplain <reason>     — suppress one atomicfield finding
 //
-// Declaration annotations (noalloc, hotpath, cacheline, taskword)
+// Declaration annotations (noalloc, hotpath, cacheline)
 // attach through the declaration's doc comment. Suppression
 // annotations (allowblock, allowplain) attach to a line: either as a
 // trailing comment on the offending line or as a full-line comment
@@ -33,7 +32,6 @@ var Known = map[string]bool{
 	"noalloc":    true,
 	"hotpath":    true,
 	"cacheline":  true,
-	"taskword":   true,
 	"allowblock": true,
 	"allowplain": true,
 }
@@ -70,7 +68,7 @@ func NewFile(fset *token.FileSet, f *ast.File) *File {
 			}
 			// A nested "//" ends the args: it is commentary about the
 			// directive (the linttest harness puts // want expectations
-			// there), not part of a spec or reason.
+			// there), not part of a reason.
 			if i := strings.Index(args, "//"); i >= 0 {
 				args = strings.TrimSpace(args[:i])
 			}

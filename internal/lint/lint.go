@@ -7,8 +7,7 @@
 // for the lock-free engine (see the "static verification" section):
 // single-memory-model field access (atomicfield), allocation-free
 // annotated hot functions (noalloc), non-blocking hot paths
-// (nonblocking), cache-line-sized padded structs (padalign), and the
-// packed task-word bit layout (taskword).
+// (nonblocking), and cache-line-sized padded structs (padalign).
 package lint
 
 import (
@@ -23,7 +22,6 @@ import (
 	"github.com/ndflow/ndflow/internal/lint/noalloc"
 	"github.com/ndflow/ndflow/internal/lint/nonblocking"
 	"github.com/ndflow/ndflow/internal/lint/padalign"
-	"github.com/ndflow/ndflow/internal/lint/taskword"
 )
 
 // Suite returns the ndlint analyzers in reporting order.
@@ -33,19 +31,17 @@ func Suite() []*analysis.Analyzer {
 		noalloc.Analyzer,
 		nonblocking.Analyzer,
 		padalign.Analyzer,
-		taskword.Analyzer,
 	}
 }
 
 // Finding is one diagnostic in driver form: resolved position plus the
-// analyzer that produced it. The JSON tags define cmd/ndlint's -json
-// wire format.
+// analyzer that produced it.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // Run loads the patterns from dir and applies the analyzers to every
@@ -64,7 +60,7 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 		return nil, err
 	}
 	// rel shortens absolute file names to dir-relative ones: stable
-	// across checkouts, so -json findings diff cleanly between PRs.
+	// across checkouts, so findings diff cleanly between commits.
 	rel := func(file string) string {
 		if r, err := filepath.Rel(absDir, file); err == nil && !filepath.IsAbs(r) && r != "" && r[0] != '.' {
 			return r
@@ -95,14 +91,11 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 		}
 		for _, a := range analyzers {
 			pass := &analysis.Pass{
-				Analyzer:   a,
-				Fset:       p.Fset,
-				Files:      p.Syntax,
-				Pkg:        p.Types,
-				TypesInfo:  p.Info,
-				Sizes:      p.Sizes,
-				Dir:        p.Dir,
-				ImportPath: p.ImportPath,
+				Fset:      p.Fset,
+				Files:     p.Syntax,
+				Pkg:       p.Types,
+				TypesInfo: p.Info,
+				Sizes:     p.Sizes,
 			}
 			if a.NeedsEscapes {
 				pass.Escapes = escapes

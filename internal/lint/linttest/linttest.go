@@ -87,14 +87,11 @@ func runPkg(t *testing.T, a *analysis.Analyzer, p *load.Package) {
 	}
 
 	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       p.Fset,
-		Files:      p.Syntax,
-		Pkg:        p.Types,
-		TypesInfo:  p.Info,
-		Sizes:      p.Sizes,
-		Dir:        p.Dir,
-		ImportPath: p.ImportPath,
+		Fset:      p.Fset,
+		Files:     p.Syntax,
+		Pkg:       p.Types,
+		TypesInfo: p.Info,
+		Sizes:     p.Sizes,
 	}
 	if a.NeedsEscapes {
 		marks, err := escape.Analyze(p)

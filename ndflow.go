@@ -27,7 +27,7 @@
 //
 // See the examples directory for runnable programs and DESIGN.md for the
 // architecture; DESIGN.md's experiment index maps each table the harness
-// regenerates (E1…E9, A1…A2) to the paper claim it reproduces.
+// regenerates (E1…E8, A1…A2) to the paper claim it reproduces.
 package ndflow
 
 import (
