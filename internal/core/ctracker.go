@@ -42,12 +42,13 @@ type ConcurrentTracker struct {
 	// which callers must serialize with run completion (see Reset).
 	gen int32
 
-	executed atomic.Int64
-	// pending counts strands that are ready or running but not yet
-	// completed. Complete adjusts it with a single atomic add (newly
-	// enabled minus the completed strand), so it can only reach zero when
-	// no work remains anywhere: it is the runtime's termination latch.
-	pending atomic.Int64
+	// left counts the sinks (strands with an empty wake row) not yet
+	// completed this generation: it is the runtimes' termination latch.
+	// A strand runs only after its wake-graph predecessors completed, and
+	// every strand reaches a sink, so the last sink completion is the
+	// last completion of the run. Only sink completions touch it: a run
+	// pays NumWakeEdges + NumSinks shared atomics in all.
+	left atomic.Int64
 }
 
 // NewConcurrentTracker returns a tracker over the compiled event graph
@@ -59,7 +60,7 @@ func NewConcurrentTracker(eg *ExecGraph) *ConcurrentTracker {
 	t := &ConcurrentTracker{wg: w, gen: 1}
 	//ndlint:allowplain pre-publication: no other goroutine can hold the tracker until this constructor returns it
 	t.cnt = append([]int32(nil), w.need...)
-	t.pending.Store(int64(len(w.initial)))
+	t.left.Store(int64(w.numSinks))
 	return t
 }
 
@@ -86,11 +87,15 @@ func (t *ConcurrentTracker) InitialReady() []int32 { return t.wg.initial }
 //ndlint:noalloc
 func (t *ConcurrentTracker) Complete(id int32, ready, scratch []int32) ([]int32, []int32, bool) {
 	w := t.wg
-	n0 := len(ready)
+	scratch = scratch[:0]
+	if w.wakeOff[id] == w.wakeOff[id+1] {
+		// A sink wakes nobody; its completion is the only kind that
+		// touches the shared latch.
+		return ready, scratch, t.left.Add(-1) == 0
+	}
 	// Firing value of this generation: need[c]·(1−gen), wrapping.
 	genOff := 1 - t.gen
 	nStrands := int32(w.numStrands)
-	scratch = scratch[:0]
 	row := id
 	for {
 		for k := w.wakeOff[row]; k < w.wakeOff[row+1]; k++ {
@@ -111,16 +116,12 @@ func (t *ConcurrentTracker) Complete(id int32, ready, scratch []int32) ([]int32,
 		row = scratch[n-1]
 		scratch = scratch[:n-1]
 	}
-	t.executed.Add(1)
-	// One atomic add covers both this completion and the enables, so
-	// pending never dips to zero while work is still in flight.
-	done := t.pending.Add(int64(len(ready)-n0)-1) == 0
-	return ready, scratch, done
+	return ready, scratch, false
 }
 
 // Reset rewinds the tracker for another run of the same graph in O(1):
-// the generation stamp advances and the executed/pending counters rewind;
-// the wake counters are left alone (see the type comment). It must only
+// the generation stamp advances and the sink latch rewinds; the wake
+// counters are left alone (see the type comment). It must only
 // be called when the previous run has fully completed (Done reports
 // true), and never concurrently with Complete; callers
 // re-publishing the tracker to workers must establish happens-before
@@ -130,19 +131,12 @@ func (t *ConcurrentTracker) Reset() {
 		panic("core: ConcurrentTracker.Reset before the run completed")
 	}
 	t.gen++
-	t.executed.Store(0)
-	t.pending.Store(int64(len(t.wg.initial)))
+	t.left.Store(int64(t.wg.numSinks))
 }
 
 // Generation returns the 1-based run number the tracker is serving.
 func (t *ConcurrentTracker) Generation() int32 { return t.gen }
 
-// Executed returns the number of strands completed so far this generation.
-func (t *ConcurrentTracker) Executed() int64 { return t.executed.Load() }
-
-// Done reports whether every strand has been executed this generation.
-func (t *ConcurrentTracker) Done() bool { return t.executed.Load() == int64(t.wg.numStrands) }
-
-// Quiescent reports whether no strand is ready or running. Together with
-// !Done it distinguishes a finished run from a stalled DAG.
-func (t *ConcurrentTracker) Quiescent() bool { return t.pending.Load() == 0 }
+// Done reports whether every strand has been executed this generation:
+// every sink has, and every strand reaches a sink.
+func (t *ConcurrentTracker) Done() bool { return t.left.Load() == 0 }

@@ -16,36 +16,31 @@ import "sync/atomic"
 // reset at all, which is what lets frames be pooled and reused across
 // tasks and runs without touching their counters.
 //
-// What remains run-global is exactly this tracker: the spawned/completed
-// ledger whose pending count is the run's termination latch (the dynamic
-// analogue of ConcurrentTracker's pending), and the generation stamp that
-// lets a pooled run state be rewound in O(1) by Reset instead of being
+// What remains run-global is exactly this tracker: the root latch that is
+// the run's termination signal (the dynamic analogue of
+// ConcurrentTracker's sink latch), and the generation stamp that lets a
+// pooled run state be rewound in O(1) by Reset instead of being
 // reallocated.
 type DynTracker struct {
 	// gen is the 0-based count of completed generations. Written only by
 	// Reset, which callers must serialize with run completion.
 	gen int32
 
-	// pending counts frames that are spawned but not yet completed. A
-	// spawn and its completion each adjust it by one, and a task frame
-	// completes only after its whole subtree has (implicit sync), so
-	// pending reaches zero exactly when the root frame completes: it can
-	// never dip to zero while work is in flight anywhere. Like
-	// ConcurrentTracker's counters it is fully drained by the run that
-	// armed it, so Reset has nothing to rewind but the stamp.
+	// pending is 1 while the run's root frame is live and 0 otherwise.
+	// Only the root is charged: a task frame completes only after its
+	// whole subtree has (implicit sync), so the root's completion is the
+	// run's last, and counting the other frames would add atomics to the
+	// spawn path and tell nothing more. Like ConcurrentTracker's
+	// counters it is fully drained by the run that armed it, so Reset has
+	// nothing to rewind but the stamp.
 	pending atomic.Int64
 }
 
-// Spawned records one new task frame. Safe for concurrent use.
+// Spawned records the root frame. Safe for concurrent use.
 func (t *DynTracker) Spawned() { t.pending.Add(1) }
 
-// SpawnedN records n new task frames with one add, for bulk spawners
-// that charge a whole batch at once.
-func (t *DynTracker) SpawnedN(n int64) { t.pending.Add(n) }
-
-// Completed records one completed task frame and reports whether the run
-// is over (no frame live anywhere). Exactly one completion per generation
-// observes true: the root's, since the root completes last. Safe for
+// Completed records the root frame's completion and reports whether the
+// run is over, which it is once the root is no longer live. Safe for
 // concurrent use.
 func (t *DynTracker) Completed() bool {
 	return t.pending.Add(-1) == 0
@@ -57,7 +52,7 @@ func (t *DynTracker) Completed() bool {
 // and never concurrently with Spawned or Completed.
 func (t *DynTracker) Reset() {
 	if !t.Done() {
-		panic("core: DynTracker.Reset with frames still pending")
+		panic("core: DynTracker.Reset with the root frame still live")
 	}
 	t.gen++
 }
@@ -65,5 +60,5 @@ func (t *DynTracker) Reset() {
 // Generation returns the 0-based count of completed generations.
 func (t *DynTracker) Generation() int32 { return t.gen }
 
-// Done reports whether no spawned frame is still live.
+// Done reports whether the root frame is no longer live.
 func (t *DynTracker) Done() bool { return t.pending.Load() == 0 }

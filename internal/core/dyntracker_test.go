@@ -11,11 +11,8 @@ func TestDynTrackerLifecycle(t *testing.T) {
 		t.Fatal("fresh tracker not Done")
 	}
 	trk.Spawned() // root
-	trk.SpawnedN(3)
-	for i := 0; i < 3; i++ {
-		if trk.Completed() {
-			t.Fatalf("completion %d reported run over with the root live", i)
-		}
+	if trk.Done() {
+		t.Fatal("tracker Done with the root live")
 	}
 	if !trk.Completed() {
 		t.Fatal("root completion did not report the run over")

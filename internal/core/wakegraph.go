@@ -44,6 +44,8 @@ type WakeGraph struct {
 
 	numStrands int
 	numRelays  int
+	// numSinks counts the strands whose completion row is empty.
+	numSinks int
 
 	// CSR wake lists: firing row i decrements counters
 	// targets[wakeOff[i]:wakeOff[i+1]] by the matching weights.
@@ -232,6 +234,9 @@ func buildWakeGraph(eg *ExecGraph, contract bool) *WakeGraph {
 	}
 	for s := 0; s < nStrands; s++ {
 		emit(s, eg.StrandStart(int32(s)))
+		if w.wakeOff[s] == int32(len(w.targets)) {
+			w.numSinks++
+		}
 	}
 	for r, v := range relayVerts {
 		emit(nStrands+r, v)
@@ -254,6 +259,11 @@ func (w *WakeGraph) NumStrands() int { return w.numStrands }
 
 // NumRelays returns the number of relay counters kept by the collapse.
 func (w *WakeGraph) NumRelays() int { return w.numRelays }
+
+// NumSinks returns the number of strands whose wake row is empty. Relay
+// rows are never empty, so every strand reaches a sink through wake
+// edges, and a run is over exactly when its sinks have completed.
+func (w *WakeGraph) NumSinks() int { return w.numSinks }
 
 // NumCounters returns the total counter count, |strands| + |relays| —
 // the whole per-run mutable state of a tracker (the event graph needed

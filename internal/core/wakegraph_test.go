@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -127,7 +129,8 @@ func TestQuickWakeGraphMatchesEventGraph(t *testing.T) {
 			if err := ftr.CompleteID(id); err != nil {
 				return false
 			}
-			ctReady, ctScratch, _ = ct.Complete(id, ctReady[:0], ctScratch)
+			var done bool
+			ctReady, ctScratch, done = ct.Complete(id, ctReady[:0], ctScratch)
 
 			want := sortedSet(oracle.take())
 			if !equalIDs(want, sortedSet(tr.TakeReadyIDs(nil))) {
@@ -140,9 +143,11 @@ func TestQuickWakeGraphMatchesEventGraph(t *testing.T) {
 				return false
 			}
 			pool = append(pool, want...)
+			if done != (len(pool) == 0) {
+				return false // the latch fired before, or not at, the last completion
+			}
 		}
-		return tr.Done() && ct.Done() && ct.Quiescent() && ftr.Done() &&
-			tr.Executed() == len(p.Leaves) && ct.Executed() == int64(len(p.Leaves))
+		return tr.Done() && ct.Done() && ftr.Done() && tr.Executed() == len(p.Leaves)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -212,6 +217,86 @@ func TestWakeGraphInvariants(t *testing.T) {
 	}
 }
 
+// checkSinkLatch checks the premise of ConcurrentTracker's sink latch on
+// one wake graph: no relay row is empty, NumSinks counts the empty strand
+// rows, and every strand reaches a sink through wake edges. Without it
+// the last sink could complete while another strand has yet to run.
+func checkSinkLatch(w *WakeGraph) error {
+	nStrands, n := int32(w.NumStrands()), int32(w.NumCounters())
+	// Rows and counters share one index space, so the reversed wake edges
+	// lead from a counter back to the rows that decrement it.
+	preds := make([][]int32, n)
+	reaches := make([]bool, n)
+	var stack []int32
+	for row := int32(0); row < n; row++ {
+		targets, _ := w.Row(row)
+		if len(targets) == 0 {
+			if row >= nStrands {
+				return fmt.Errorf("relay row %d is empty", row)
+			}
+			reaches[row] = true
+			stack = append(stack, row)
+		}
+		for _, c := range targets {
+			preds[c] = append(preds[c], row)
+		}
+	}
+	if len(stack) != w.NumSinks() {
+		return fmt.Errorf("%d strand rows are empty, NumSinks = %d", len(stack), w.NumSinks())
+	}
+	for len(stack) > 0 {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range preds[c] {
+			if !reaches[p] {
+				reaches[p] = true
+				stack = append(stack, p)
+			}
+		}
+	}
+	for s := int32(0); s < nStrands; s++ {
+		if !reaches[s] {
+			return fmt.Errorf("strand %d reaches no sink", s)
+		}
+	}
+	return nil
+}
+
+// TestQuickSinkLatchPremise runs checkSinkLatch over random programs and
+// rule sets, on the contracted wake graph and on the uncontracted
+// fallback. The difftest builders get the same check in package core_test.
+func TestQuickSinkLatchPremise(t *testing.T) {
+	var failure error
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var leaves int
+		root := randomTree(r, 4, &leaves)
+		if root.IsLeaf() {
+			return true
+		}
+		p, err := NewProgram(root, randomRules(r))
+		if err != nil {
+			failure = err
+			return false
+		}
+		g, err := Rewrite(p)
+		if err != nil {
+			return true // shape-mismatch rule sets are legal generation failures
+		}
+		if failure = checkSinkLatch(g.Exec().Wake()); failure != nil {
+			return false
+		}
+		if failure = checkSinkLatch(buildWakeGraph(g.Exec(), false)); failure != nil {
+			failure = fmt.Errorf("uncontracted: %w", failure)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatalf("%v: %v", err, failure)
+	}
+}
+
 // TestWakeConcurrentTrackerRaced drives one ConcurrentTracker from
 // several goroutines over a shared work channel, so -race observes real
 // interleavings of the wake cascade (CI runs this package under -race).
@@ -242,6 +327,7 @@ func TestWakeConcurrentTrackerRaced(t *testing.T) {
 				work <- id
 			}
 			var wg sync.WaitGroup
+			var completed atomic.Int64
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
 				go func() {
@@ -250,6 +336,7 @@ func TestWakeConcurrentTrackerRaced(t *testing.T) {
 					for id := range work {
 						var done bool
 						ready, scratch, done = ct.Complete(id, ready[:0], scratch)
+						completed.Add(1)
 						for _, e := range ready {
 							work <- e
 						}
@@ -260,9 +347,9 @@ func TestWakeConcurrentTrackerRaced(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if !ct.Done() || !ct.Quiescent() {
-				t.Fatalf("seed %d gen %d: executed %d of %d, quiescent=%v",
-					seed, gen, ct.Executed(), total, ct.Quiescent())
+			if !ct.Done() || completed.Load() != int64(total) {
+				t.Fatalf("seed %d gen %d: completed %d of %d strands, done=%v",
+					seed, gen, completed.Load(), total, ct.Done())
 			}
 			ct.Reset()
 		}
