@@ -85,15 +85,13 @@ func golden(tb testing.TB, c diffCase, model string) []uint64 {
 	return bits(outs)
 }
 
-// TestChaosPanicWall: 8 builders × 9 runtimes. Each runtime executes a
+// TestChaosPanicWall: 8 builders × 8 runtimes. Each runtime executes a
 // sabotaged instance (must fail typed, within the deadline), then a
 // clean instance on the very same engine (must match golden bits).
 func TestChaosPanicWall(t *testing.T) {
-	eng := diffEngine(t, exec.PolicyFIFO)
+	eng := diffEngine(exec.PolicyFIFO)
 	defer eng.Close()
-	locEng := diffEngine(t, exec.PolicyLocality)
-	defer locEng.Close()
-	rlxEng := diffEngine(t, exec.PolicyRelaxed)
+	rlxEng := diffEngine(exec.PolicyRelaxed)
 	defer rlxEng.Close()
 	runtimes := []struct {
 		name     string
@@ -106,7 +104,6 @@ func TestChaosPanicWall(t *testing.T) {
 		{"lockfree-4", false, func(g *core.Graph) error { return exec.RunParallel(g, 4) }},
 		{"engine", false, submitTo(eng)},
 		{"dyn", false, func(g *core.Graph) error { return dyn.RunGraph(eng, g) }},
-		{"locality-4", false, submitTo(locEng)},
 		// The JIT ladder: the sabotaged run is the program's first run, so
 		// the panic lands in an observe/recording pass and must be
 		// discarded, not compiled.
@@ -218,7 +215,7 @@ func TestChaosFaultInjector(t *testing.T) {
 		return exec.FaultNone
 	})
 	for _, p := range diffPolicies {
-		eng := diffEngine(t, p, inject)
+		eng := diffEngine(p, inject)
 		for ci, c := range diffCases() {
 			c := c
 			model := c.models[0]

@@ -1,18 +1,16 @@
 // Cross-runtime differential tests: every algorithm builder executed via
 // the serial elision, the adversarial serial orders (random topological,
 // reverse greedy), the one-shot work stealer, the long-lived engine under
-// each of its three policies, the online dynamic runtime and its JIT must
+// each of its two policies, the online dynamic runtime and its JIT must
 // produce bit-identical output matrices. The
 // compiled runtimes propagate readiness through the strand-level wake
 // graph (serial drivers via Tracker, parallel ones via
 // ConcurrentTracker); the dynamic runtime rebuilds the dependency
 // structure online from Spawn/Future gating and learns the DAG one task
-// at a time; the locality-aware engine re-routes anchored strands
-// through cache-domain mailboxes. All nine execute the same strand
-// closures, and the deps validator guarantees conflicting accesses are
-// ordered by the DAG, so any divergence — down to the last mantissa bit —
-// is a scheduler, wake-graph-collapse, suspension or anchoring bug. Run
-// under -race in CI.
+// at a time. All eight execute the same strand closures, and the deps
+// validator guarantees conflicting accesses are ordered by the DAG, so
+// any divergence — down to the last mantissa bit — is a scheduler,
+// wake-graph-collapse or suspension bug. Run under -race in CI.
 package ndflow_test
 
 import (
@@ -33,8 +31,6 @@ import (
 	"github.com/ndflow/ndflow/internal/dyn"
 	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
-	"github.com/ndflow/ndflow/internal/pmh"
-	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // diffCase builds a fresh instance of an algorithm and exposes its output
@@ -204,31 +200,12 @@ func diffBits(t *testing.T, label string, got, want []uint64) {
 }
 
 // diffPolicies is the Policy enum: the walls below run on every one.
-var diffPolicies = []exec.Policy{exec.PolicyFIFO, exec.PolicyRelaxed, exec.PolicyLocality}
+var diffPolicies = []exec.Policy{exec.PolicyFIFO, exec.PolicyRelaxed}
 
 // diffEngine starts a 4-worker engine under the policy, with any further
-// options. PolicyLocality gets a deliberately tiny hierarchy: the L2
-// anchoring threshold (σ·960/4 = 80 words) sits inside the footprint
-// range of the 16×16 builders' task trees, so anchoring, domain
-// claiming, mailbox handoffs and budget fallbacks all fire during the
-// differential run.
-func diffEngine(tb testing.TB, p exec.Policy, opts ...exec.Option) *exec.Engine {
-	tb.Helper()
-	if p != exec.PolicyLocality {
-		return exec.NewEngine(4, append(opts, exec.WithPolicy(p))...)
-	}
-	topo, err := exec.NewTopology(pmh.Spec{
-		ProcsPerL1: 1,
-		Caches: []pmh.CacheSpec{
-			{Size: 192, Fanout: 2, MissCost: 1},
-			{Size: 960, Fanout: 2, MissCost: 10},
-		},
-		MemMissCost: 100,
-	}, 4, 1.0/3)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return exec.NewEngine(4, append(opts, exec.WithTopology(topo))...)
+// options.
+func diffEngine(p exec.Policy, opts ...exec.Option) *exec.Engine {
+	return exec.NewEngine(4, append(opts, exec.WithPolicy(p))...)
 }
 
 // submitTo runs one graph to completion on the engine.
@@ -247,11 +224,9 @@ func submitTo(e *exec.Engine) func(g *core.Graph) error {
 // reproduce the serial elision's output bit for bit. The engine cases
 // also exercise instance-pool reuse by submitting through shared engines.
 func TestRuntimesBitIdentical(t *testing.T) {
-	eng := diffEngine(t, exec.PolicyFIFO)
+	eng := diffEngine(exec.PolicyFIFO)
 	defer eng.Close()
-	locEng := diffEngine(t, exec.PolicyLocality)
-	defer locEng.Close()
-	rlxEng := diffEngine(t, exec.PolicyRelaxed)
+	rlxEng := diffEngine(exec.PolicyRelaxed)
 	defer rlxEng.Close()
 	runtimes := []struct {
 		name string
@@ -270,10 +245,6 @@ func TestRuntimesBitIdentical(t *testing.T) {
 		// revealed to the scheduler one task at a time. Shares the
 		// engine's workers and deques with the compiled submissions.
 		{"dyn", false, func(g *core.Graph) error { return dyn.RunGraph(eng, g) }},
-		// The locality-aware engine: anchored strands detour through
-		// cache-domain mailboxes and victim selection walks nearest-first,
-		// but the schedule must still be a legal execution of the DAG.
-		{"locality-4", false, submitTo(locEng)},
 		// The adaptive-replay JIT: the same dynamic
 		// program run until its shape compiles, then once more through
 		// the compiled engine. Restricted to idempotent cases because the
@@ -321,11 +292,6 @@ func TestRuntimesBitIdentical(t *testing.T) {
 				}
 			})
 		}
-	}
-	// The locality spec is only a meaningful runtime if its anchoring
-	// machinery actually engaged on these inputs.
-	if locEng.Metrics().Snapshot().Get(telemetry.MClaims) == 0 {
-		t.Error("locality engine never claimed an anchor across the differential suite")
 	}
 }
 

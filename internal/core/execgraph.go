@@ -39,8 +39,6 @@ type ExecGraph struct {
 
 	leafWork []int64 // per node ID: strand work (0 for internal nodes)
 	strandOf []int32 // per node ID: strand index, or -1 for internal nodes
-	taskSize []int64 // per node ID: subtree footprint in words (s(t))
-	parentOf []int32 // per node ID: parent node ID, -1 for the root
 
 	wakeOnce sync.Once
 	wake     *WakeGraph // strand-level collapse, built lazily by Wake
@@ -110,20 +108,12 @@ func newExecGraph(p *Program, arrows []uint64) (*ExecGraph, error) {
 		e.indeg0[v] = e.predOff[v+1] - e.predOff[v]
 	}
 
-	e.taskSize = make([]int64, len(p.Nodes))
-	e.parentOf = make([]int32, len(p.Nodes))
 	for _, node := range p.Nodes {
 		if node.IsLeaf() {
 			e.leafWork[node.ID] = node.Work
 			e.strandOf[node.ID] = int32(node.leafLo)
 		} else {
 			e.strandOf[node.ID] = -1
-		}
-		e.taskSize[node.ID] = node.footprint.Words()
-		if node.Parent != nil {
-			e.parentOf[node.ID] = int32(node.Parent.ID)
-		} else {
-			e.parentOf[node.ID] = -1
 		}
 	}
 
@@ -208,9 +198,6 @@ func forEachTreeEdge(p *Program, edge func(u, v int32)) {
 	}
 }
 
-// Program returns the program this graph was compiled from.
-func (e *ExecGraph) Program() *Program { return e.p }
-
 // Wake returns the strand-level wake graph: the event graph with relay
 // vertices chain-contracted away (see WakeGraph). It is collapsed once on
 // first use and shared — trackers over the same ExecGraph reuse it — and
@@ -253,19 +240,6 @@ func (e *ExecGraph) InitIndegrees(dst []int32) []int32 {
 	copy(dst, e.indeg0)
 	return dst
 }
-
-// NumNodes returns the number of spawn tree nodes in the program.
-func (e *ExecGraph) NumNodes() int { return len(e.p.Nodes) }
-
-// TaskSize returns s(t) for the task rooted at the given node ID: the
-// number of distinct words its subtree accesses, as used for space-bounded
-// and locality-aware scheduling. Precomputed at compile so schedulers
-// never walk the node tree or its footprint sets on a scheduling path.
-func (e *ExecGraph) TaskSize(nodeID int32) int64 { return e.taskSize[nodeID] }
-
-// ParentOf returns the parent node ID of the given node, or -1 for the
-// root. Precomputed at compile for pointer-free ancestor walks.
-func (e *ExecGraph) ParentOf(nodeID int32) int32 { return e.parentOf[nodeID] }
 
 // StrandNode returns the node ID of the strand with the given strand ID.
 func (e *ExecGraph) StrandNode(id int32) int32 { return int32(e.p.Leaves[id].ID) }

@@ -1,7 +1,7 @@
 package core
 
 // Priority table: longest path to the sink per strand, computed once at
-// compile time and cached on the ExecGraph next to taskSize.
+// compile time and cached on the ExecGraph.
 //
 // The depth-to-sink of a strand s is the weight of the heaviest
 // remaining chain once s becomes ready: s's own work plus the longest

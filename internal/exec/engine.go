@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/ndflow/ndflow/internal/core"
-	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
@@ -38,14 +37,6 @@ const (
 	// with high probability — in exchange for contention-free pops under
 	// heavy load.
 	PolicyRelaxed
-	// PolicyLocality groups the workers into cache domains by a machine
-	// spec (pmh.DefaultSpec at the worker count, or the caller's through
-	// WithTopology): victim selection walks nearest-first — same domain,
-	// then sibling domains, then the whole pool — and tasks whose
-	// compiled footprint σ-fits a domain's cache are anchored there, the
-	// online analogue of the simulator's space-bounded anchoring rule
-	// (see topology.go). Unanchored strands keep the FIFO discipline.
-	PolicyLocality
 )
 
 // String names the policy as it appears in pprof labels and tooling
@@ -56,8 +47,6 @@ func (p Policy) String() string {
 		return "fifo"
 	case PolicyRelaxed:
 		return "relaxed"
-	case PolicyLocality:
-		return "locality"
 	}
 	return "Policy(" + strconv.Itoa(int(p)) + ")"
 }
@@ -67,25 +56,13 @@ type Option func(*engineConfig)
 
 type engineConfig struct {
 	policy  Policy
-	topo    *Topology // caller-built topology; only under PolicyLocality
 	faultFn func(strand int32) Fault
 	tracer  *telemetry.Tracer
 }
 
-// WithPolicy selects the scheduling policy (PolicyLocality on the default
-// machine spec for the worker count). Of WithPolicy and WithTopology the
-// last option given wins.
+// WithPolicy selects the scheduling policy.
 func WithPolicy(p Policy) Option {
-	return func(c *engineConfig) { c.policy, c.topo = p, nil }
-}
-
-// WithTopology selects PolicyLocality on a topology the caller built
-// (and so validated) with NewTopology — an explicit machine spec and σ.
-// The engine takes the topology's worker count when its own is ≤ 0; an
-// explicit worker count that disagrees with it is a programming error
-// and panics. A topology serves one engine.
-func WithTopology(t *Topology) Option {
-	return func(c *engineConfig) { c.policy, c.topo = PolicyLocality, t }
+	return func(c *engineConfig) { c.policy = p }
 }
 
 // Fault is a fault-injection decision returned by a WithFaultInjector
@@ -128,16 +105,6 @@ func WithFaultInjector(fn func(strand int32) Fault) Option {
 type Instance struct {
 	eg *core.ExecGraph
 	ct *core.ConcurrentTracker
-	// loc is the run's anchoring state under PolicyLocality (nil for
-	// graphs whose plan anchors nothing, and until a locality engine first
-	// sees the instance). Attached at submission, rewound together with
-	// the tracker; locTopo remembers which topology it was derived for, so
-	// graphs with empty plans are not re-planned on every submission and
-	// caller-owned instances migrating between locality engines are
-	// re-bound. Carried onto another policy's engine it is inert: nothing
-	// claims there, so its completions release nothing.
-	loc     *locState
-	locTopo *Topology
 	// prio is the compiled graph's depth-to-sink table, attached at
 	// submission by PolicyRelaxed.
 	prio []int64
@@ -280,9 +247,6 @@ func (r *Run) Wait() error {
 			// caller's own resubmission ordering) establishes
 			// happens-before with workers.
 			inst.ct.Reset()
-			if inst.loc != nil {
-				inst.loc.reset()
-			}
 		} else {
 			pool = nil // never reuse a failed run's state
 		}
@@ -379,11 +343,9 @@ type Engine struct {
 
 	// policy names the scheduling discipline and rs is the ready
 	// structure that implements it, chosen once at construction (see
-	// sched.go); topo is the steal topology rs routes by under
-	// PolicyLocality, nil otherwise. Only the accessors read policy and
-	// topo — submit, the worker loop and acquire go through rs.
+	// sched.go). Only the accessors read policy — submit, the worker loop
+	// and acquire go through rs.
 	policy Policy
-	topo   *Topology
 	rs     readyQueue
 
 	// met holds the engine's sharded counter handles (one telemetry
@@ -412,22 +374,8 @@ func NewEngine(workers int, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if t := cfg.topo; t != nil {
-		if workers > 0 && workers != t.Workers() {
-			panic(fmt.Sprintf("exec: NewEngine(%d workers) given a topology built for %d", workers, t.Workers()))
-		}
-		workers = t.Workers()
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.policy == PolicyLocality && cfg.topo == nil {
-		t, err := NewTopology(pmh.Spec{}, workers, 0)
-		if err != nil {
-			// pmh.DefaultSpec validates for every worker count.
-			panic(err)
-		}
-		cfg.topo = t
 	}
 	e := &Engine{
 		workers:  workers,
@@ -436,7 +384,6 @@ func NewEngine(workers int, opts ...Option) *Engine {
 		pools:    make(map[*core.ExecGraph]*instPool),
 		cacheCap: defaultCacheCap,
 		policy:   cfg.policy,
-		topo:     cfg.topo,
 		faultFn:  cfg.faultFn,
 		met:      newMetricsSet(workers),
 		tracer:   cfg.tracer,
@@ -458,10 +405,6 @@ func NewEngine(workers int, opts ...Option) *Engine {
 	}
 	return e
 }
-
-// Topology returns the engine's steal topology: non-nil exactly under
-// PolicyLocality.
-func (e *Engine) Topology() *Topology { return e.topo }
 
 // Policy returns the engine's scheduling policy.
 func (e *Engine) Policy() Policy { return e.policy }
@@ -1000,8 +943,8 @@ func (e *Engine) workerLabels(self int) pprof.LabelSet {
 	return pprof.Labels("worker", strconv.Itoa(self), "policy", e.policy.String())
 }
 
-// noteSteal meters a take through the work-stealing protocol (a deque
-// steal or a far mailbox poll) and traces it.
+// noteSteal meters a deque steal through the work-stealing protocol and
+// traces it.
 func (e *Engine) noteSteal(self int, t int64, victim int) {
 	e.met.steals.Inc(self)
 	e.traceSteal(self, t, victim)
@@ -1009,7 +952,7 @@ func (e *Engine) noteSteal(self int, t int64, victim int) {
 
 // traceSteal records a steal event carrying the stolen task's identity,
 // for the tracer's victim→thief flow arrows. victim < 0 means the
-// source has no single owner (domain mailbox, MultiQueue cross-pop).
+// source has no single owner (a MultiQueue cross-pop).
 func (e *Engine) traceSteal(self int, t int64, victim int) {
 	if tr := e.tracer; tr != nil {
 		slot, id := unpackTask(t &^ dynTaskBit)
@@ -1121,15 +1064,6 @@ func (e *Engine) workerLoop(w *Worker) {
 			// finishing worker, so recording first guarantees this event
 			// is visible to the finisher's trace stitch.
 			tr.Record(w.self, telemetry.EvComplete, slot, id, 0)
-		}
-		if inst.loc != nil {
-			// Anchor accounting, like the trace record, precedes the
-			// tracker completion: a σ-budget release ordered after it
-			// could land after Wait had already rewound the anchoring
-			// state. (Per-instance state, not a policy test: written
-			// out here because a wrapper around Complete does not
-			// inline and costs ~1% on the nil-body replay.)
-			inst.loc.complete(id)
 		}
 		var finished bool
 		ready, scratch, finished = inst.ct.Complete(id, ready[:0], scratch)

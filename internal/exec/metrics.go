@@ -17,8 +17,6 @@ type metricsSet struct {
 
 	progHits, progMisses, instHits, instMisses, evictions *telemetry.Counter
 
-	claims, fallbacks, posts *telemetry.Counter
-
 	dynParks, dynResumes, dynDonations *telemetry.Counter
 }
 
@@ -39,9 +37,6 @@ func newMetricsSet(workers int) *metricsSet {
 		instHits:     reg.Counter(telemetry.MInstHits),
 		instMisses:   reg.Counter(telemetry.MInstMisses),
 		evictions:    reg.Counter(telemetry.MEvictions),
-		claims:       reg.Counter(telemetry.MClaims),
-		fallbacks:    reg.Counter(telemetry.MFallbacks),
-		posts:        reg.Counter(telemetry.MPosts),
 		dynParks:     reg.Counter(telemetry.MDynParks),
 		dynResumes:   reg.Counter(telemetry.MDynResumes),
 		dynDonations: reg.Counter(telemetry.MDynDonations),
@@ -59,10 +54,10 @@ func newMetricsSet(workers int) *metricsSet {
 }
 
 // Metrics returns the engine's telemetry registry, the one source of
-// truth for scheduling, cache, topology, dynamic-runtime and JIT
-// counters: Metrics().Snapshot().Get(telemetry.MSteals) and friends.
-// Snapshot it for an instantaneous reading, or pair snapshots with
-// Snapshot.Delta to meter an interval.
+// truth for scheduling, cache, dynamic-runtime and JIT counters:
+// Metrics().Snapshot().Get(telemetry.MSteals) and friends. Snapshot it
+// for an instantaneous reading, or pair snapshots with Snapshot.Delta to
+// meter an interval.
 func (e *Engine) Metrics() *telemetry.Registry { return e.met.reg }
 
 // Tracer returns the tracer armed with WithTracing, nil when tracing is
@@ -70,7 +65,7 @@ func (e *Engine) Metrics() *telemetry.Registry { return e.met.reg }
 func (e *Engine) Tracer() *telemetry.Tracer { return e.tracer }
 
 // WithTracing arms per-run strand-level tracing: every worker records
-// dispatch/steal/park/dyn/anchor events into the tracer's per-worker
+// dispatch/steal/park/dyn events into the tracer's per-worker
 // lanes, and each finished run is stitched into a telemetry.Trace
 // (collect with Tracer.Take or Tracer.TakeLast). The tracer is bound to
 // this engine's worker count; share one tracer across engines only if

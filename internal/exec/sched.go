@@ -2,7 +2,7 @@ package exec
 
 // The scheduler seam. Which structure holds a ready compiled strand
 // between the completion that enabled it and the worker that runs it is
-// the one thing the three policies disagree on, and readyQueue is the one
+// the one thing the two policies disagree on, and readyQueue is the one
 // place that knows it: NewEngine picks an implementer once, and submit,
 // the worker loop and acquire go through the interface without ever
 // asking which policy they serve. Everything else — the injector, the
@@ -13,14 +13,14 @@ package exec
 // The contract every implementer keeps: a sweep that returns false has
 // observed empty, at some point during the call, every structure that a
 // worker other than the sweeper can publish into — every other worker's
-// deque, every shared queue and mailbox. The sweeper's own deque is not
-// among them, and the sweeps skip it (stealFrom and stealNear pass over
-// self): its owner is the only worker that pushes to it, and the owner
-// is the one in acquire, which it reached by popping that deque dry, so
-// nothing can land there while it sweeps. acquire's Dekker
-// announce-then-recheck leans on exactly that — a publication the first
-// sweep raced past is seen by the recheck, or its publisher saw the
-// sleeper count and wakes the pool. TestSweepContract checks it.
+// deque and every shared queue. The sweeper's own deque is not among
+// them, and the sweep skips it (stealFrom passes over self): its owner is
+// the only worker that pushes to it, and the owner is the one in acquire,
+// which it reached by popping that deque dry, so nothing can land there
+// while it sweeps. acquire's Dekker announce-then-recheck leans on
+// exactly that — a publication the first sweep raced past is seen by the
+// recheck, or its publisher saw the sleeper count and wakes the pool.
+// TestSweepContract checks it.
 type readyQueue interface {
 	// seed publishes a new run's initially-ready strands and binds the
 	// per-instance state the policy steers by. Called by submit under the
@@ -49,12 +49,6 @@ func newReadyQueue(e *Engine) readyQueue {
 		return &fifo
 	case PolicyRelaxed:
 		return &relaxedSched{fifo, newMultiQueue(e.workers)}
-	case PolicyLocality:
-		// Adopt the topology: its policy counters re-home onto the
-		// engine's registry (one source of truth) and anchor trace
-		// events ride the engine's tracer.
-		e.topo.met, e.topo.eng = e.met, e
-		return &localSched{fifo, e.topo, make([][]int64, e.workers)}
 	}
 	panic("exec: NewEngine given unknown " + e.policy.String())
 }
@@ -69,8 +63,8 @@ func (e *Engine) wakeFor(n int) {
 
 // fifoSched is PolicyFIFO, deque-FIFO: submission order on the injector,
 // fan-out in wake-graph row order onto the worker's own Chase–Lev deque
-// (LIFO owner pops, FIFO steals). The other two embed it for the parts
-// of the discipline they keep.
+// (LIFO owner pops, FIFO steals). Relaxed embeds it for the parts of the
+// discipline it keeps.
 type fifoSched struct{ e *Engine }
 
 func (s *fifoSched) seed(inst *Instance, slot int32) {

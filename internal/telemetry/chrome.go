@@ -141,8 +141,6 @@ func (tr *Trace) WriteChrome(w io.Writer) error {
 			instant(e, map[string]any{"frame": e.ID})
 		case EvDonate:
 			instant(e, map[string]any{"frame": e.ID})
-		case EvAnchorClaim, EvAnchorRelease:
-			instant(e, map[string]any{"anchor": e.ID, "domain": e.Arg})
 		case EvRunStart:
 			instant(e, map[string]any{"slot": e.Slot, "strands": e.Arg})
 		case EvRunEnd, EvRunFail, EvRunCancel:

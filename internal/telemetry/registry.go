@@ -29,7 +29,7 @@ const (
 	MRunsFailed   = "engine_runs_failed_total"   // runs retired with a non-cancellation failure
 	MRunsCanceled = "engine_runs_canceled_total" // runs retired cancelled (incl. context)
 
-	MSteals    = "sched_steals_total"     // victim-queue takes (deque steals, far mailbox polls)
+	MSteals    = "sched_steals_total"     // Chase–Lev deque steals from another worker
 	MCrossPops = "sched_cross_pops_total" // relaxed MultiQueue pops outside the popper's pair
 	MParks     = "sched_parks_total"      // workers parked on the idle condvar
 	MInjects   = "sched_injects_total"    // task words injected from outside any worker
@@ -40,10 +40,6 @@ const (
 	MInstHits   = "cache_instance_hits_total"
 	MInstMisses = "cache_instance_misses_total"
 	MEvictions  = "cache_evictions_total"
-
-	MClaims    = "topo_claims_total"    // anchor tasks bound to a cache domain
-	MFallbacks = "topo_fallbacks_total" // anchor tasks demoted to flat stealing
-	MPosts     = "topo_posts_total"     // strands handed to a domain mailbox
 
 	MDynParks     = "dyn_parks_total"     // dyn strands suspended mid-body (Sync or future Get)
 	MDynResumes   = "dyn_resumes_total"   // suspended dyn strands resumed

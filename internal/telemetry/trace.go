@@ -28,8 +28,8 @@ const (
 	EvComplete // strand body returned
 
 	// Scheduler events. Steal's Arg is the victim worker slot, or -1
-	// when the source has no single owner (MultiQueue sweep, domain
-	// mailbox). Park/Unpark bracket a worker sleeping on the idle
+	// when the source has no single owner (a MultiQueue sweep).
+	// Park/Unpark bracket a worker sleeping on the idle
 	// condvar; they carry Slot -1 (engine-level, not owned by a run).
 	EvSteal
 	EvPark
@@ -43,12 +43,6 @@ const (
 	EvDynWake     // parked continuation re-published (future Put or child completion)
 	EvDonate      // worker identity donated to a parked continuation
 
-	// Locality events. ID is the anchor task id, Arg the cache domain.
-	// Claim is recorded by the claiming worker; Release is engine-level
-	// (the anchor's last strand may finish on any worker).
-	EvAnchorClaim
-	EvAnchorRelease
-
 	// JIT events, engine-level. Record/Replay carry the run's slot.
 	EvJITRecord
 	EvJITReplay
@@ -58,27 +52,25 @@ const (
 )
 
 var evNames = [evKinds]string{
-	EvNone:          "none",
-	EvRunStart:      "run_start",
-	EvRunEnd:        "run_end",
-	EvRunFail:       "run_fail",
-	EvRunCancel:     "run_cancel",
-	EvDispatch:      "dispatch",
-	EvComplete:      "complete",
-	EvSteal:         "steal",
-	EvPark:          "park",
-	EvUnpark:        "unpark",
-	EvDynDispatch:   "dyn_dispatch",
-	EvDynComplete:   "dyn_complete",
-	EvDynPark:       "dyn_park",
-	EvDynResume:     "dyn_resume",
-	EvDynWake:       "dyn_wake",
-	EvDonate:        "donate",
-	EvAnchorClaim:   "anchor_claim",
-	EvAnchorRelease: "anchor_release",
-	EvJITRecord:     "jit_record",
-	EvJITReplay:     "jit_replay",
-	EvJITDiverge:    "jit_diverge",
+	EvNone:        "none",
+	EvRunStart:    "run_start",
+	EvRunEnd:      "run_end",
+	EvRunFail:     "run_fail",
+	EvRunCancel:   "run_cancel",
+	EvDispatch:    "dispatch",
+	EvComplete:    "complete",
+	EvSteal:       "steal",
+	EvPark:        "park",
+	EvUnpark:      "unpark",
+	EvDynDispatch: "dyn_dispatch",
+	EvDynComplete: "dyn_complete",
+	EvDynPark:     "dyn_park",
+	EvDynResume:   "dyn_resume",
+	EvDynWake:     "dyn_wake",
+	EvDonate:      "donate",
+	EvJITRecord:   "jit_record",
+	EvJITReplay:   "jit_replay",
+	EvJITDiverge:  "jit_diverge",
 }
 
 func (k EventKind) String() string {
@@ -93,9 +85,9 @@ func (k EventKind) String() string {
 // garbage collector never scans.
 type Event struct {
 	TS     int64     // nanoseconds since the tracer's epoch
-	Arg    int64     // kind-specific payload (victim, domain, strand count…)
+	Arg    int64     // kind-specific payload (victim, strand count…)
 	Slot   int32     // run slot; -1 for engine-level events
-	ID     int32     // strand / frame / anchor id; -1 when not applicable
+	ID     int32     // strand / frame id; -1 when not applicable
 	Worker int32     // recording worker slot; -1 for external callers
 	Kind   EventKind // discriminator
 }

@@ -196,19 +196,13 @@ type Policy = exec.Policy
 type EngineOption = exec.Option
 
 // The scheduling policies: FIFO submission order with LIFO/steal deques
-// (the default); the relaxed MultiQueue structure (per-worker queue
+// (the default), and the relaxed MultiQueue structure (per-worker queue
 // pairs keyed by compile-time depth-to-sink, pick-2-random stealing)
 // trading strict priority order — within O(workers·log workers) rank
-// inversions w.h.p. — for contention-free throughput; and locality,
-// which groups the workers into cache domains shaped like a real machine
-// (pmh.DefaultSpec at the worker count), steals nearest-first, and
-// anchors tasks whose compiled footprint σ-fits a domain's cache to it —
-// the online analogue of the paper's space-bounded scheduler (§4;
-// internal/exec.WithTopology takes an explicit machine spec and σ).
+// inversions w.h.p. — for contention-free throughput.
 const (
-	PolicyFIFO     = exec.PolicyFIFO
-	PolicyRelaxed  = exec.PolicyRelaxed
-	PolicyLocality = exec.PolicyLocality
+	PolicyFIFO    = exec.PolicyFIFO
+	PolicyRelaxed = exec.PolicyRelaxed
 )
 
 // WithPolicy selects the engine's scheduling policy. It composes with
@@ -218,7 +212,7 @@ func WithPolicy(p Policy) EngineOption { return exec.WithPolicy(p) }
 // --- Telemetry
 //
 // Every engine carries a metrics registry — sharded, always-on counters
-// for scheduling, cache, topology, dynamic-runtime, and JIT activity —
+// for scheduling, cache, dynamic-runtime, and JIT activity —
 // read with Engine.Metrics().Snapshot(). Strand-level tracing is opt-in:
 // arm an engine with WithTracing(NewTracer()) and every run records
 // dispatch/complete, steal, park and future events into per-worker
@@ -288,7 +282,7 @@ var ErrEngineClosed = exec.ErrEngineClosed
 // NewEngine starts an engine with the given worker count (GOMAXPROCS when
 // workers ≤ 0). Submit work with Engine.Run or Engine.Submit; shut it
 // down with Engine.Close. Options select the scheduling policy and arm
-// tracing, e.g. NewEngine(8, WithPolicy(PolicyLocality), WithTracing(tr)).
+// tracing, e.g. NewEngine(8, WithPolicy(PolicyRelaxed), WithTracing(tr)).
 func NewEngine(workers int, opts ...EngineOption) *Engine { return exec.NewEngine(workers, opts...) }
 
 var (

@@ -169,7 +169,7 @@ func TestEngineThroughFacade(t *testing.T) {
 	}
 }
 
-func TestLocalityEngineThroughFacade(t *testing.T) {
+func TestRelaxedEngineThroughFacade(t *testing.T) {
 	var runs atomic.Int32
 	body := func() { runs.Add(1) }
 	a := ndflow.Strand("a", 1, nil, ndflow.Words(0, 4), body)
@@ -178,8 +178,11 @@ func TestLocalityEngineThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := ndflow.NewEngine(2, ndflow.WithPolicy(ndflow.PolicyLocality))
+	e := ndflow.NewEngine(2, ndflow.WithPolicy(ndflow.PolicyRelaxed))
 	defer e.Close()
+	if e.Policy() != ndflow.PolicyRelaxed {
+		t.Fatalf("engine reports policy %v, want relaxed", e.Policy())
+	}
 	for i := 0; i < 3; i++ {
 		if err := e.Run(p); err != nil {
 			t.Fatal(err)

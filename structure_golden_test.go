@@ -109,10 +109,10 @@ func structureHash(g *core.Graph) uint64 {
 		put(w.Need(i))
 	}
 	section(w.InitialReady())
-	for id := int32(0); id < int32(eg.NumNodes()); id++ {
-		// s(t), which the locality policy anchors by: the footprint
-		// unions must come out word for word the same.
-		put(int32(eg.TaskSize(id)))
+	for _, n := range g.P.Nodes {
+		// s(t), which the simulated space-bounded scheduler anchors by:
+		// the footprint unions must come out word for word the same.
+		put(int32(n.Footprint().Words()))
 	}
 	return h.Sum64()
 }
