@@ -85,14 +85,12 @@ func golden(tb testing.TB, c diffCase, model string) []uint64 {
 	return bits(outs)
 }
 
-// TestChaosPanicWall: 8 builders × 8 runtimes. Each runtime executes a
+// TestChaosPanicWall: 8 builders × 7 runtimes. Each runtime executes a
 // sabotaged instance (must fail typed, within the deadline), then a
 // clean instance on the very same engine (must match golden bits).
 func TestChaosPanicWall(t *testing.T) {
-	eng := diffEngine(exec.PolicyFIFO)
+	eng := diffEngine()
 	defer eng.Close()
-	rlxEng := diffEngine(exec.PolicyRelaxed)
-	defer rlxEng.Close()
 	runtimes := []struct {
 		name     string
 		idemOnly bool
@@ -112,7 +110,6 @@ func TestChaosPanicWall(t *testing.T) {
 			p := dyn.NewProgram(dyn.Replay(eg, dyn.StrandDeps(eg)))
 			return p.Run(eng)
 		}},
-		{"engine-relaxed", false, submitTo(rlxEng)},
 	}
 	for _, c := range diffCases() {
 		c := c
@@ -196,10 +193,9 @@ func TestChaosCancelWall(t *testing.T) {
 }
 
 // TestChaosFaultInjector drives the scheduler-level hook across the
-// wall, on every policy: FaultDelay at every strand must not change a
-// single output bit (determinism does not lean on timing), and
-// FaultPanic at a moving strand index fails runs typed while disarmed
-// runs stay golden.
+// wall: FaultDelay at every strand must not change a single output bit
+// (determinism does not lean on timing), and FaultPanic at a moving
+// strand index fails runs typed while disarmed runs stay golden.
 func TestChaosFaultInjector(t *testing.T) {
 	var mode atomic.Int32 // 0 none, 1 delay-all, 2 panic-at-target
 	var target atomic.Int32
@@ -214,50 +210,48 @@ func TestChaosFaultInjector(t *testing.T) {
 		}
 		return exec.FaultNone
 	})
-	for _, p := range diffPolicies {
-		eng := diffEngine(p, inject)
-		for ci, c := range diffCases() {
-			c := c
-			model := c.models[0]
-			t.Run(fmt.Sprintf("%s/%s/%s", p, c.name, model), func(t *testing.T) {
-				run := func(label string, g *core.Graph) error {
-					return within(t, label, func() error { return submitTo(eng)(g) })
-				}
-				want := golden(t, c, fmt.Sprint(model))
-				// Delay chaos: jitter every strand, output must stay golden.
-				mode.Store(1)
-				g, outs, err := c.build(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := run(c.name+"/delay", g); err != nil {
-					t.Fatalf("delay-faulted run: %v", err)
-				}
-				diffBits(t, "delay-chaos", bits(outs), want)
-				// Panic chaos at a case-dependent strand index.
-				mode.Store(2)
-				target.Store(int32(ci % len(g.P.Leaves)))
-				pg, _, err := c.build(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var pe *exec.StrandPanicError
-				if err := run(c.name+"/panic", pg); !errors.As(err, &pe) {
-					t.Fatalf("injected panic run = %v, want *StrandPanicError", err)
-				}
-				// Disarm: clean run interleaved right after is golden again.
-				mode.Store(0)
-				cg, couts, err := c.build(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := run(c.name+"/clean", cg); err != nil {
-					t.Fatalf("clean run after injector chaos: %v", err)
-				}
-				diffBits(t, "clean-after-injector", bits(couts), want)
-			})
-		}
-		eng.Close()
+	eng := diffEngine(inject)
+	defer eng.Close()
+	for ci, c := range diffCases() {
+		c := c
+		model := c.models[0]
+		t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
+			run := func(label string, g *core.Graph) error {
+				return within(t, label, func() error { return submitTo(eng)(g) })
+			}
+			want := golden(t, c, fmt.Sprint(model))
+			// Delay chaos: jitter every strand, output must stay golden.
+			mode.Store(1)
+			g, outs, err := c.build(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(c.name+"/delay", g); err != nil {
+				t.Fatalf("delay-faulted run: %v", err)
+			}
+			diffBits(t, "delay-chaos", bits(outs), want)
+			// Panic chaos at a case-dependent strand index.
+			mode.Store(2)
+			target.Store(int32(ci % len(g.P.Leaves)))
+			pg, _, err := c.build(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pe *exec.StrandPanicError
+			if err := run(c.name+"/panic", pg); !errors.As(err, &pe) {
+				t.Fatalf("injected panic run = %v, want *StrandPanicError", err)
+			}
+			// Disarm: clean run interleaved right after is golden again.
+			mode.Store(0)
+			cg, couts, err := c.build(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(c.name+"/clean", cg); err != nil {
+				t.Fatalf("clean run after injector chaos: %v", err)
+			}
+			diffBits(t, "clean-after-injector", bits(couts), want)
+		})
 	}
 }
 

@@ -1,13 +1,13 @@
 // Cross-runtime differential tests: every algorithm builder executed via
 // the serial elision, the adversarial serial orders (random topological,
-// reverse greedy), the one-shot work stealer, the long-lived engine under
-// each of its two policies, the online dynamic runtime and its JIT must
-// produce bit-identical output matrices. The
+// reverse greedy), the one-shot work stealer, the long-lived engine, the
+// online dynamic runtime and its JIT must produce bit-identical output
+// matrices. The
 // compiled runtimes propagate readiness through the strand-level wake
 // graph (serial drivers via Tracker, parallel ones via
 // ConcurrentTracker); the dynamic runtime rebuilds the dependency
 // structure online from Spawn/Future gating and learns the DAG one task
-// at a time. All eight execute the same strand closures, and the deps
+// at a time. All seven execute the same strand closures, and the deps
 // validator guarantees conflicting accesses are ordered by the DAG, so
 // any divergence — down to the last mantissa bit — is a scheduler,
 // wake-graph-collapse or suspension bug. Run under -race in CI.
@@ -199,13 +199,9 @@ func diffBits(t *testing.T, label string, got, want []uint64) {
 	}
 }
 
-// diffPolicies is the Policy enum: the walls below run on every one.
-var diffPolicies = []exec.Policy{exec.PolicyFIFO, exec.PolicyRelaxed}
-
-// diffEngine starts a 4-worker engine under the policy, with any further
-// options.
-func diffEngine(p exec.Policy, opts ...exec.Option) *exec.Engine {
-	return exec.NewEngine(4, append(opts, exec.WithPolicy(p))...)
+// diffEngine starts a 4-worker engine with the options.
+func diffEngine(opts ...exec.Option) *exec.Engine {
+	return exec.NewEngine(4, opts...)
 }
 
 // submitTo runs one graph to completion on the engine.
@@ -224,10 +220,8 @@ func submitTo(e *exec.Engine) func(g *core.Graph) error {
 // reproduce the serial elision's output bit for bit. The engine cases
 // also exercise instance-pool reuse by submitting through shared engines.
 func TestRuntimesBitIdentical(t *testing.T) {
-	eng := diffEngine(exec.PolicyFIFO)
+	eng := diffEngine()
 	defer eng.Close()
-	rlxEng := diffEngine(exec.PolicyRelaxed)
-	defer rlxEng.Close()
 	runtimes := []struct {
 		name string
 		// idemOnly restricts the runtime to idempotent cases: runtimes
@@ -263,11 +257,6 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			}
 			return nil
 		}},
-		// The relaxed MultiQueue engine: the ready structure is
-		// approximate-priority per-worker queue pairs with
-		// pick-2-random stealing; the wake graph still gates readiness,
-		// so the schedule remains a legal execution of the DAG.
-		{"engine-relaxed", false, submitTo(rlxEng)},
 	}
 	for _, c := range diffCases() {
 		for _, model := range c.models {

@@ -85,8 +85,8 @@ func WriteWakeGraphDOT(w io.Writer, g *Graph) error {
 
 // WritePriorityDOT renders the strand-level wake graph shaded by the
 // scheduler's priority table: each strand gate filled on a grayscale
-// ramp by its depth-to-sink (darker = deeper = preferred by the relaxed
-// MultiQueue policy) and labelled with the depth value. The deepest
+// ramp by its depth-to-sink (darker = deeper = closer to the critical
+// path) and labelled with the depth value. The deepest
 // initially-ready strand carries the whole span, so the darkest
 // doubled-border node is where the critical path starts.
 func WritePriorityDOT(w io.Writer, g *Graph) error {

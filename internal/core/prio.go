@@ -5,12 +5,12 @@ package core
 //
 // The depth-to-sink of a strand s is the weight of the heaviest
 // remaining chain once s becomes ready: s's own work plus the longest
-// weighted path from s's end vertex to the program's sink. A scheduler
-// that prefers deep strands works on the critical path first, which is
-// exactly what keeps the span term of the paper's runtime bound from
-// being inflated by priority inversions. The table is a single reverse
-// pass over the precomputed topological order, so it costs O(V+E) once
-// per compiled graph and nothing on any scheduling path.
+// weighted path from s's end vertex to the program's sink. No scheduler
+// reads it: it serves `nddot -view prio` (WritePriorityDOT), the Span
+// identity priority_test.go checks (the deepest initially-ready strand
+// carries the whole span), and the exact T∞ in strands that a measured
+// steal count can be held against (the O(P·T∞) steal bound). The table is a single reverse pass over the precomputed
+// topological order, so it costs O(V+E) once per compiled graph.
 
 // buildPrio fills strandDepth. Called via prioOnce.
 func (e *ExecGraph) buildPrio() {

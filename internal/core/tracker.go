@@ -110,16 +110,3 @@ func (t *Tracker) Done() bool { return t.executed == t.wg.numStrands }
 
 // Executed returns the number of strands completed so far.
 func (t *Tracker) Executed() int { return t.executed }
-
-// NodeDone reports whether the task's subtree has fully executed: in the
-// event graph the task's end vertex fires exactly when every strand under
-// it has completed, which the wake graph tracks per strand. O(leaves of n).
-func (t *Tracker) NodeDone(n *Node) bool {
-	lo, hi := n.LeafRange()
-	for i := lo; i < hi; i++ {
-		if !t.completed[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -83,10 +83,6 @@ func (d *wsDeque) pop() (int64, bool) {
 	return v, true
 }
 
-// size returns the number of elements currently in the deque. Owner
-// reads are exact; for other threads it is a racy estimate.
-func (d *wsDeque) size() int64 { return d.bottom.Load() - d.top.Load() }
-
 // steal removes and returns the top element. Any thread. retry reports a
 // lost race (the deque may still hold work worth re-probing).
 //

@@ -189,7 +189,7 @@ func (w *Worker) Detach() {
 		// Same labels as a construction-time worker: the replacement
 		// inherits the donated slot (it may migrate on later donations;
 		// profiles label by slot at spawn).
-		pprof.Do(context.Background(), e.workerLabels(self), func(context.Context) {
+		pprof.Do(context.Background(), workerLabels(self), func(context.Context) {
 			e.workerLoop(newWorker(e, self))
 		})
 	}()

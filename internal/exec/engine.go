@@ -19,50 +19,12 @@ import (
 // ErrEngineClosed is returned by submissions to a closed engine.
 var ErrEngineClosed = errors.New("exec: engine is closed")
 
-// Policy selects the engine's ready-structure and ordering discipline.
-// Every policy executes the same dependency graph and produces the same
-// outputs; only the order in which ready strands are started differs.
-type Policy int32
-
-const (
-	// PolicyFIFO is the default: submission order on the injector, LIFO
-	// owner pops and FIFO steals on the Chase–Lev deques, fan-out in
-	// wake-graph row order.
-	PolicyFIFO Policy = iota
-	// PolicyRelaxed replaces the deque discipline for compiled strands
-	// with per-worker MultiQueue pairs (2 priority queues per worker,
-	// pick-2-random steals, pop-deeper-of-two-heads; see relaxed.go)
-	// keyed by compile-time depth-to-sink (core.ExecGraph.StrandDepths).
-	// Priority order is approximate — within O(P·log P) rank inversions
-	// with high probability — in exchange for contention-free pops under
-	// heavy load.
-	PolicyRelaxed
-)
-
-// String names the policy as it appears in pprof labels and tooling
-// output; a value outside the enum prints as Policy(n).
-func (p Policy) String() string {
-	switch p {
-	case PolicyFIFO:
-		return "fifo"
-	case PolicyRelaxed:
-		return "relaxed"
-	}
-	return "Policy(" + strconv.Itoa(int(p)) + ")"
-}
-
 // Option configures an Engine at construction.
 type Option func(*engineConfig)
 
 type engineConfig struct {
-	policy  Policy
 	faultFn func(strand int32) Fault
 	tracer  *telemetry.Tracer
-}
-
-// WithPolicy selects the scheduling policy.
-func WithPolicy(p Policy) Option {
-	return func(c *engineConfig) { c.policy = p }
 }
 
 // Fault is a fault-injection decision returned by a WithFaultInjector
@@ -105,9 +67,6 @@ func WithFaultInjector(fn func(strand int32) Fault) Option {
 type Instance struct {
 	eg *core.ExecGraph
 	ct *core.ConcurrentTracker
-	// prio is the compiled graph's depth-to-sink table, attached at
-	// submission by PolicyRelaxed.
-	prio []int64
 }
 
 // NewInstance allocates run state for the compiled graph. The instance is
@@ -115,9 +74,6 @@ type Instance struct {
 func NewInstance(eg *core.ExecGraph) *Instance {
 	return &Instance{eg: eg, ct: core.NewConcurrentTracker(eg)}
 }
-
-// Graph returns the compiled graph this instance executes.
-func (in *Instance) Graph() *core.ExecGraph { return in.eg }
 
 // Run is the handle of one in-flight execution on an Engine: either a
 // compiled graph (inst non-nil) or a dynamic run (dyn non-nil).
@@ -341,13 +297,6 @@ type Engine struct {
 	cacheTick uint64
 	cacheCap  int
 
-	// policy names the scheduling discipline and rs is the ready
-	// structure that implements it, chosen once at construction (see
-	// sched.go). Only the accessors read policy — submit, the worker loop
-	// and acquire go through rs.
-	policy Policy
-	rs     readyQueue
-
 	// met holds the engine's sharded counter handles (one telemetry
 	// registry per engine); tracer is the per-run strand tracer, nil
 	// unless armed with WithTracing; faultFn is the chaos hook, nil in
@@ -365,10 +314,8 @@ type Engine struct {
 }
 
 // NewEngine starts an engine with the given worker count (GOMAXPROCS when
-// workers ≤ 0). The workers live until Close. Options select the
-// scheduling policy (default PolicyFIFO; a value outside the enum panics)
-// and arm tracing or fault injection; every option composes with every
-// policy.
+// workers ≤ 0). The workers live until Close. Options arm tracing or
+// fault injection.
 func NewEngine(workers int, opts ...Option) *Engine {
 	var cfg engineConfig
 	for _, o := range opts {
@@ -383,7 +330,6 @@ func NewEngine(workers int, opts ...Option) *Engine {
 		progs:    make(map[*core.Program]*progEntry),
 		pools:    make(map[*core.ExecGraph]*instPool),
 		cacheCap: defaultCacheCap,
-		policy:   cfg.policy,
 		faultFn:  cfg.faultFn,
 		met:      newMetricsSet(workers),
 		tracer:   cfg.tracer,
@@ -392,7 +338,6 @@ func NewEngine(workers int, opts ...Option) *Engine {
 		// Size the per-worker lanes before any worker can record.
 		e.tracer.Bind(workers)
 	}
-	e.rs = newReadyQueue(e)
 	e.cond = sync.NewCond(&e.mu)
 	for i := range e.deques {
 		e.deques[i] = newWSDeque(256)
@@ -405,9 +350,6 @@ func NewEngine(workers int, opts ...Option) *Engine {
 	}
 	return e
 }
-
-// Policy returns the engine's scheduling policy.
-func (e *Engine) Policy() Policy { return e.policy }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -484,7 +426,9 @@ func (e *Engine) submit(eg *core.ExecGraph, owned *Instance) (*Run, error) {
 		tr.RunStarted()
 		tr.Record(-1, telemetry.EvRunStart, slot, -1, int64(eg.NumStrands()))
 	}
-	e.rs.seed(inst, slot)
+	for _, id := range inst.ct.InitialReady() {
+		e.inject = append(e.inject, packTask(slot, id))
+	}
 	e.active++
 	e.epoch++
 	if e.sleepers > 0 {
@@ -749,13 +693,13 @@ func (e *Engine) takeInjectLocked(self int) (int64, bool) {
 }
 
 // acquire finds work for an idle worker: the submission queue first, then
-// the ready structure's sweep, then parking. Returns false when the
-// engine is closed and fully drained.
+// a steal sweep, then parking. Returns false when the engine is closed and
+// fully drained.
 //
 // Both the first sweep and the post-announcement recheck are exhaustive
-// over everything the ready structure holds (the seam's contract, see
-// sched.go), so the parking protocol's guarantee — a publication between
-// sweep and park is never lost — covers every policy's structures.
+// over every other worker's deque (the sweep contract, see sched.go), so
+// the parking protocol's guarantee — a publication between sweep and
+// park is never lost — covers every deque.
 //
 //ndlint:allowblock parking slow path: the engine mutex serializes the sleeper ladder and cond.Wait is the park itself; the Dekker announce-then-recheck above every park keeps the blocking sound
 func (e *Engine) acquire(w *Worker) (int64, bool) {
@@ -772,7 +716,7 @@ func (e *Engine) acquire(w *Worker) (int64, bool) {
 		}
 		ep := e.epoch
 		e.mu.Unlock()
-		if t, ok := e.rs.sweep(w); ok {
+		if t, ok := e.sweep(w); ok {
 			return t, true
 		}
 		e.mu.Lock()
@@ -787,7 +731,7 @@ func (e *Engine) acquire(w *Worker) (int64, bool) {
 			// atomics forbid missing both). Without it, a push landing
 			// between the first sweep and the count increment would strand
 			// us parked while tasks sit in an active worker's deque.
-			if t, ok := e.rs.sweep(w); ok {
+			if t, ok := e.sweep(w); ok {
 				e.mu.Lock()
 				e.sleepers--
 				e.nSleep.Store(int32(e.sleepers))
@@ -832,7 +776,7 @@ func (e *Engine) acquire(w *Worker) (int64, bool) {
 // still under the mutex — has dispatched. The pool is quiescent
 // iff every other worker is inside cond.Wait, the injector is drained,
 // and the epoch is unchanged — then no unconsumed published work exists
-// anywhere (every ready structure is swept before parking; deferred and
+// anywhere (every deque is swept before parking; deferred and
 // pend words are only held by running workers), so an active run's
 // remaining strands can only be parked behind unresolved futures. The
 // sleeper count is not the test: a sleeper whose recheck sweep just
@@ -930,30 +874,23 @@ func (e *Engine) finish(r *Run) {
 
 func (e *Engine) worker(self int) {
 	defer e.wg.Done()
-	// Label the goroutine so CPU profiles break down by worker slot and
-	// scheduling policy.
-	pprof.Do(context.Background(), e.workerLabels(self), func(context.Context) {
+	// Label the goroutine so CPU profiles break down by worker slot.
+	pprof.Do(context.Background(), workerLabels(self), func(context.Context) {
 		e.workerLoop(newWorker(e, self))
 	})
 }
 
 // workerLabels is the pprof label set for a worker (or replacement)
-// goroutine: its slot at spawn and the engine's scheduling policy.
-func (e *Engine) workerLabels(self int) pprof.LabelSet {
-	return pprof.Labels("worker", strconv.Itoa(self), "policy", e.policy.String())
+// goroutine: its slot at spawn.
+func workerLabels(self int) pprof.LabelSet {
+	return pprof.Labels("worker", strconv.Itoa(self))
 }
 
-// noteSteal meters a deque steal through the work-stealing protocol and
-// traces it.
+// noteSteal meters a deque steal and traces it with the stolen task's
+// identity and the victim's slot, for the tracer's victim→thief flow
+// arrows.
 func (e *Engine) noteSteal(self int, t int64, victim int) {
 	e.met.steals.Inc(self)
-	e.traceSteal(self, t, victim)
-}
-
-// traceSteal records a steal event carrying the stolen task's identity,
-// for the tracer's victim→thief flow arrows. victim < 0 means the
-// source has no single owner (a MultiQueue cross-pop).
-func (e *Engine) traceSteal(self int, t int64, victim int) {
 	if tr := e.tracer; tr != nil {
 		slot, id := unpackTask(t &^ dynTaskBit)
 		tr.Record(self, telemetry.EvSteal, slot, id, int64(victim))
@@ -1004,9 +941,7 @@ func (e *Engine) applyFault(r *Run, id int32) {
 //
 // The loop is the engine's innermost hot path: ndlint walks every
 // function statically reachable from here and rejects blocking
-// operations that lack an //ndlint:allowblock justification. The walk
-// does not see through the e.rs interface calls, so each ready
-// structure's local/publish/sweep is annotated as a root of its own.
+// operations that lack an //ndlint:allowblock justification.
 //
 //ndlint:hotpath
 func (e *Engine) workerLoop(w *Worker) {
@@ -1019,10 +954,8 @@ func (e *Engine) workerLoop(w *Worker) {
 		if t < 0 {
 			var ok bool
 			if t, ok = e.deques[w.self].pop(); !ok {
-				if t, ok = e.rs.local(w.self); !ok {
-					if t, ok = e.acquire(w); !ok {
-						return
-					}
+				if t, ok = e.acquire(w); !ok {
+					return
 				}
 			}
 		}
@@ -1067,9 +1000,9 @@ func (e *Engine) workerLoop(w *Worker) {
 		}
 		var finished bool
 		ready, scratch, finished = inst.ct.Complete(id, ready[:0], scratch)
-		// The ready structure keeps one enabled strand as this worker's
-		// next task and publishes the rest (waking sleepers for them).
-		next = e.rs.publish(w, inst, slot, id, ready)
+		// Keep one enabled strand as this worker's next task and publish
+		// the rest (waking sleepers for them).
+		next = e.publish(w.self, slot, ready)
 		if finished {
 			e.finish(r)
 		}

@@ -211,9 +211,9 @@ func TestEngineClose(t *testing.T) {
 
 // TestEngineSteadyStateAllocs asserts the amortization claim: once the
 // program is cached and an instance pooled, Engine.Run allocates nothing,
-// under every policy, untraced and with an armed tracer whose stitched
-// trace is taken and recycled after each run. The graph is nil-body
-// FW-1D 256/4 (4096 strands).
+// untraced and with an armed tracer whose stitched trace is taken and
+// recycled after each run. The graph is nil-body FW-1D 256/4 (4096
+// strands).
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	prog, err := fw.New(algos.ND, fw.NewInstance(matrix.NewSpace(), 256, 11), 4)
 	if err != nil {
@@ -222,35 +222,33 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for _, l := range prog.Leaves {
 		l.Run = nil
 	}
-	for _, policy := range allPolicies {
-		for _, traced := range []bool{false, true} {
-			name := policy.String()
-			var trc *telemetry.Tracer
-			opts := []Option{WithPolicy(policy)}
-			if traced {
-				name += "/traced"
-				trc = telemetry.NewTracer()
-				opts = append(opts, WithTracing(trc))
-			}
-			t.Run(name, func(t *testing.T) {
-				e := NewEngine(2, opts...)
-				defer e.Close()
-				run := func() {
-					if err := e.Run(prog); err != nil {
-						t.Fatal(err)
-					}
-					if trc != nil {
-						trc.Recycle(trc.TakeLast())
-					}
-				}
-				for i := 0; i < 10; i++ { // warm: cache fill, pool fill, deque and trace slab growth
-					run()
-				}
-				if avg := testing.AllocsPerRun(50, run); avg != 0 {
-					t.Fatalf("steady-state Engine.Run allocates %.2f objects/run, want 0", avg)
-				}
-			})
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		var trc *telemetry.Tracer
+		var opts []Option
+		if traced {
+			name = "traced"
+			trc = telemetry.NewTracer()
+			opts = append(opts, WithTracing(trc))
 		}
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(2, opts...)
+			defer e.Close()
+			run := func() {
+				if err := e.Run(prog); err != nil {
+					t.Fatal(err)
+				}
+				if trc != nil {
+					trc.Recycle(trc.TakeLast())
+				}
+			}
+			for i := 0; i < 10; i++ { // warm: cache fill, pool fill, deque and trace slab growth
+				run()
+			}
+			if avg := testing.AllocsPerRun(50, run); avg != 0 {
+				t.Fatalf("steady-state Engine.Run allocates %.2f objects/run, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -33,54 +33,56 @@ func seqGraph(t *testing.T, bodies ...func()) *core.Graph {
 	return g
 }
 
-// TestEnginePanicContained submits a run whose second strand panics on
-// every policy: Wait must return a typed *StrandPanicError naming the
-// strand, the panicking run's remaining strands must be skipped, and the
-// engine must execute a clean run right after.
+// TestEnginePanicContained submits a run whose second strand panics:
+// Wait must return a typed *StrandPanicError naming the strand, the
+// panicking run's remaining strands must be skipped, and the engine must
+// execute a clean run right after.
 func TestEnginePanicContained(t *testing.T) {
-	for _, p := range allPolicies {
-		t.Run(p.String(), func(t *testing.T) {
-			e := NewEngine(2, WithPolicy(p))
-			defer e.Close()
-			var after atomic.Int32
-			g := seqGraph(t,
-				nil,
-				func() { panic("boom at s1") },
-				func() { after.Add(1) },
-				func() { after.Add(1) },
-			)
-			r, err := e.Submit(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = r.Wait()
-			var pe *StrandPanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("Wait = %v, want *StrandPanicError", err)
-			}
-			if pe.Label != "s1" || pe.Value != "boom at s1" {
-				t.Fatalf("panic captured as strand %d (%s) value %v", pe.Strand, pe.Label, pe.Value)
-			}
-			if len(pe.Stack) == 0 || !strings.Contains(err.Error(), "boom at s1") {
-				t.Fatalf("error carries no stack/value: %v", err)
-			}
-			if after.Load() != 0 {
-				t.Fatalf("%d strands ran after the panic; want skip-at-dispatch", after.Load())
-			}
-			// The engine must stay healthy: a clean run on the same engine.
-			var n atomic.Int32
-			clean := seqGraph(t, func() { n.Add(1) }, func() { n.Add(1) })
-			cr, err := e.Submit(clean)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cr.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			if n.Load() != 2 {
-				t.Fatalf("clean run after panic executed %d of 2 strands", n.Load())
-			}
-		})
+	// The subtest is named for the engine's steal order: thieves take
+	// the oldest work first.
+	t.Run("fifo", enginePanicContained)
+}
+
+func enginePanicContained(t *testing.T) {
+	e := NewEngine(2)
+	defer e.Close()
+	var after atomic.Int32
+	g := seqGraph(t,
+		nil,
+		func() { panic("boom at s1") },
+		func() { after.Add(1) },
+		func() { after.Add(1) },
+	)
+	r, err := e.Submit(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.Wait()
+	var pe *StrandPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Wait = %v, want *StrandPanicError", err)
+	}
+	if pe.Label != "s1" || pe.Value != "boom at s1" {
+		t.Fatalf("panic captured as strand %d (%s) value %v", pe.Strand, pe.Label, pe.Value)
+	}
+	if len(pe.Stack) == 0 || !strings.Contains(err.Error(), "boom at s1") {
+		t.Fatalf("error carries no stack/value: %v", err)
+	}
+	if after.Load() != 0 {
+		t.Fatalf("%d strands ran after the panic; want skip-at-dispatch", after.Load())
+	}
+	// The engine must stay healthy: a clean run on the same engine.
+	var n atomic.Int32
+	clean := seqGraph(t, func() { n.Add(1) }, func() { n.Add(1) })
+	cr, err := e.Submit(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Load() != 2 {
+		t.Fatalf("clean run after panic executed %d of 2 strands", n.Load())
 	}
 }
 

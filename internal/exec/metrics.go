@@ -13,7 +13,7 @@ type metricsSet struct {
 
 	runs, runsFailed, runsCanceled *telemetry.Counter
 
-	steals, crossPops, parks, injects, rescues *telemetry.Counter
+	steals, parks, injects, rescues *telemetry.Counter
 
 	progHits, progMisses, instHits, instMisses, evictions *telemetry.Counter
 
@@ -28,7 +28,6 @@ func newMetricsSet(workers int) *metricsSet {
 		runsFailed:   reg.Counter(telemetry.MRunsFailed),
 		runsCanceled: reg.Counter(telemetry.MRunsCanceled),
 		steals:       reg.Counter(telemetry.MSteals),
-		crossPops:    reg.Counter(telemetry.MCrossPops),
 		parks:        reg.Counter(telemetry.MParks),
 		injects:      reg.Counter(telemetry.MInjects),
 		rescues:      reg.Counter(telemetry.MRescues),

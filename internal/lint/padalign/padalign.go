@@ -3,7 +3,7 @@
 //
 // Structs annotated `//ndlint:cacheline` exist to keep concurrently
 // written hot fields on separate cache lines — telemetry counter
-// cells, per-worker MultiQueue heads, tracer lanes. The claim is only
+// cells, tracer lanes. The claim is only
 // true when the struct's size is a whole multiple of 64 bytes:
 // elements of a slice of such structs then start on distinct lines
 // (given a 64-byte-aligned base), and adjacent elements never share a

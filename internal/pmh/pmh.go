@@ -14,7 +14,6 @@ package pmh
 import (
 	"container/list"
 	"fmt"
-	"runtime"
 )
 
 // CacheSpec describes one cache level.
@@ -211,49 +210,6 @@ func (m *Machine) Reset() {
 	}
 	m.misses = make([]int64, m.Levels())
 	m.accesses = 0
-}
-
-// DefaultSpec returns a realistically-shaped three-level hierarchy for
-// the given processor count (GOMAXPROCS when procs ≤ 0): a private L1
-// per processor, L2s shared by small groups, and one L3 shared by
-// everything. Sizes are in words (B = 1, 8-byte words): 32KB L1, 512KB
-// L2, 16MB L3, with miss costs roughly in the measured latency ratios of
-// commodity parts. Group sizes are chosen as the largest divisor of
-// procs that is at most 4 — falling back to the smallest divisor above 4
-// for counts like 25 or 49, so composite counts always keep several
-// uniform L2 groups — and the spec stays valid for any count; a prime
-// count above 4 gets one L2 spanning all L1s.
-func DefaultSpec(procs int) Spec {
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	share := 1
-	for d := 4; d >= 2; d-- {
-		if procs%d == 0 {
-			share = d
-			break
-		}
-	}
-	if share == 1 && procs > 4 {
-		for d := 5; d*d <= procs; d++ {
-			if procs%d == 0 {
-				share = d // smallest divisor > 4: most groups possible
-				break
-			}
-		}
-		if share == 1 {
-			share = procs // prime: one L2 spans every L1
-		}
-	}
-	return Spec{
-		ProcsPerL1: 1,
-		Caches: []CacheSpec{
-			{Size: 4 << 10, Fanout: share, MissCost: 4},           // 32KB L1
-			{Size: 64 << 10, Fanout: procs / share, MissCost: 16}, // 512KB L2
-			{Size: 2 << 20, Fanout: 1, MissCost: 64},              // 16MB L3
-		},
-		MemMissCost: 256,
-	}
 }
 
 // ThreeLevel returns a small, fully exercised example machine: p

@@ -154,36 +154,6 @@ func TestValidateRejectsNonDivisible(t *testing.T) {
 	}
 }
 
-func TestDefaultSpec(t *testing.T) {
-	for procs := 1; procs <= 17; procs++ {
-		s := DefaultSpec(procs)
-		if err := s.Validate(); err != nil {
-			t.Fatalf("DefaultSpec(%d): %v", procs, err)
-		}
-		if got := s.Processors(); got != procs {
-			t.Fatalf("DefaultSpec(%d).Processors() = %d", procs, got)
-		}
-	}
-	if s := DefaultSpec(0); s.Validate() != nil || s.Processors() < 1 {
-		t.Fatal("DefaultSpec(0) did not derive a valid GOMAXPROCS spec")
-	}
-	// Groups of 4 when the count divides: 8 procs → 4 L1s per L2, 2 L2s.
-	s := DefaultSpec(8)
-	if s.Caches[0].Fanout != 4 || s.CacheCount(1) != 2 {
-		t.Fatalf("DefaultSpec(8) grouping = fanout %d, %d L2s; want 4, 2", s.Caches[0].Fanout, s.CacheCount(1))
-	}
-	// Composite counts with no divisor ≤ 4 still split into groups via
-	// the smallest divisor above 4 (25 = 5×5), keeping multi-worker L2
-	// domains instead of collapsing to one L2.
-	if s := DefaultSpec(25); s.Caches[0].Fanout != 5 || s.CacheCount(1) != 5 || s.Validate() != nil {
-		t.Fatalf("DefaultSpec(25) grouping = fanout %d, %d L2s; want 5, 5", s.Caches[0].Fanout, s.CacheCount(1))
-	}
-	// Prime counts above 4 get one L2 spanning everything.
-	if s := DefaultSpec(7); s.CacheCount(1) != 1 {
-		t.Fatalf("DefaultSpec(7) has %d L2s, want 1", s.CacheCount(1))
-	}
-}
-
 func TestQuickColdMissesEqualDistinctWords(t *testing.T) {
 	// Accessing any sequence from one processor: L1 misses ≥ distinct
 	// words, and if the distinct set fits in L1, exactly equal.

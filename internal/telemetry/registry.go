@@ -29,11 +29,10 @@ const (
 	MRunsFailed   = "engine_runs_failed_total"   // runs retired with a non-cancellation failure
 	MRunsCanceled = "engine_runs_canceled_total" // runs retired cancelled (incl. context)
 
-	MSteals    = "sched_steals_total"     // Chase–Lev deque steals from another worker
-	MCrossPops = "sched_cross_pops_total" // relaxed MultiQueue pops outside the popper's pair
-	MParks     = "sched_parks_total"      // workers parked on the idle condvar
-	MInjects   = "sched_injects_total"    // task words injected from outside any worker
-	MRescues   = "sched_rescues_total"    // quiescence-watchdog force-drains
+	MSteals  = "sched_steals_total"  // Chase–Lev deque steals from another worker
+	MParks   = "sched_parks_total"   // workers parked on the idle condvar
+	MInjects = "sched_injects_total" // task words injected from outside any worker
+	MRescues = "sched_rescues_total" // quiescence-watchdog force-drains
 
 	MProgHits   = "cache_program_hits_total"
 	MProgMisses = "cache_program_misses_total"

@@ -27,10 +27,9 @@ const (
 	EvDispatch // strand body starting
 	EvComplete // strand body returned
 
-	// Scheduler events. Steal's Arg is the victim worker slot, or -1
-	// when the source has no single owner (a MultiQueue sweep).
-	// Park/Unpark bracket a worker sleeping on the idle
-	// condvar; they carry Slot -1 (engine-level, not owned by a run).
+	// Scheduler events. Steal's Arg is the victim worker slot.
+	// Park/Unpark bracket a worker sleeping on the idle condvar; they
+	// carry Slot -1 (engine-level, not owned by a run).
 	EvSteal
 	EvPark
 	EvUnpark

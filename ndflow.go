@@ -186,28 +186,8 @@ type Engine = exec.Engine
 // (exactly once) to block until it completes.
 type Submission = exec.Run
 
-// Policy selects an engine's ready-structure and ordering discipline.
-// Every policy produces bit-identical outputs; only the order in which
-// ready strands start differs. See DESIGN.md's "exec: the scheduler
-// seam" section.
-type Policy = exec.Policy
-
 // EngineOption configures NewEngine.
 type EngineOption = exec.Option
-
-// The scheduling policies: FIFO submission order with LIFO/steal deques
-// (the default), and the relaxed MultiQueue structure (per-worker queue
-// pairs keyed by compile-time depth-to-sink, pick-2-random stealing)
-// trading strict priority order — within O(workers·log workers) rank
-// inversions w.h.p. — for contention-free throughput.
-const (
-	PolicyFIFO    = exec.PolicyFIFO
-	PolicyRelaxed = exec.PolicyRelaxed
-)
-
-// WithPolicy selects the engine's scheduling policy. It composes with
-// every other option: any policy can be traced.
-func WithPolicy(p Policy) EngineOption { return exec.WithPolicy(p) }
 
 // --- Telemetry
 //
@@ -281,8 +261,8 @@ var ErrEngineClosed = exec.ErrEngineClosed
 
 // NewEngine starts an engine with the given worker count (GOMAXPROCS when
 // workers ≤ 0). Submit work with Engine.Run or Engine.Submit; shut it
-// down with Engine.Close. Options select the scheduling policy and arm
-// tracing, e.g. NewEngine(8, WithPolicy(PolicyRelaxed), WithTracing(tr)).
+// down with Engine.Close. Options arm tracing, e.g.
+// NewEngine(8, WithTracing(tr)).
 func NewEngine(workers int, opts ...EngineOption) *Engine { return exec.NewEngine(workers, opts...) }
 
 var (

@@ -169,7 +169,10 @@ func TestEngineThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRelaxedEngineThroughFacade(t *testing.T) {
+// TestTracedEngineThroughFacade drives an engine option through the
+// façade: a traced engine runs the program and stitches one trace for
+// the one run.
+func TestTracedEngineThroughFacade(t *testing.T) {
 	var runs atomic.Int32
 	body := func() { runs.Add(1) }
 	a := ndflow.Strand("a", 1, nil, ndflow.Words(0, 4), body)
@@ -178,18 +181,24 @@ func TestRelaxedEngineThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := ndflow.NewEngine(2, ndflow.WithPolicy(ndflow.PolicyRelaxed))
+	tr := ndflow.NewTracer()
+	e := ndflow.NewEngine(2, ndflow.WithTracing(tr))
 	defer e.Close()
-	if e.Policy() != ndflow.PolicyRelaxed {
-		t.Fatalf("engine reports policy %v, want relaxed", e.Policy())
+	if e.Tracer() != tr {
+		t.Fatal("engine does not report the tracer it was armed with")
 	}
-	for i := 0; i < 3; i++ {
-		if err := e.Run(p); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.Run(p); err != nil {
+		t.Fatal(err)
 	}
-	if got := runs.Load(); got != 6 {
-		t.Fatalf("strand bodies ran %d times, want 6", got)
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("strand bodies ran %d times, want 2", got)
+	}
+	traces := tr.Take()
+	if len(traces) != 1 {
+		t.Fatalf("took %d traces after one run, want 1", len(traces))
+	}
+	if len(traces[0].Events) == 0 {
+		t.Fatal("the run's trace recorded no events")
 	}
 }
 

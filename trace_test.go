@@ -2,9 +2,9 @@
 // executed on a traced engine must yield a trace whose event stream is
 // sound — each dispatched strand completes exactly once, dispatch count
 // equals the graph's strand count, steal records name in-range victims —
-// and whose Chrome trace_event export is well-formed JSON, under every
-// scheduling policy. A traced chaos run
-// must still fail typed while producing an exportable trace, and a
+// and whose Chrome trace_event export is well-formed JSON. A traced
+// chaos run must still fail typed while producing an exportable trace,
+// and a
 // traced dynamic run must surface the suspension machinery (park,
 // donation, resume) as events.
 package ndflow_test
@@ -58,126 +58,126 @@ func checkChromeJSON(t *testing.T, tr *telemetry.Trace) []map[string]any {
 }
 
 // TestTraceIntegrity runs every differential-suite builder on a traced
-// engine of every policy and checks the structural invariants of each
+// engine and checks the structural invariants of each
 // stitched trace.
 func TestTraceIntegrity(t *testing.T) {
-	for _, p := range diffPolicies {
-		trc := telemetry.NewTracer()
-		eng := diffEngine(p, exec.WithTracing(trc))
-		for _, c := range diffCases() {
-			model := c.models[len(c.models)-1]
-			t.Run(fmt.Sprintf("%s/%s/%s", p, c.name, model), func(t *testing.T) {
-				g, _, err := c.build(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := submitTo(eng)(g); err != nil {
-					t.Fatal(err)
-				}
-				tr := takeTrace(t, trc)
-				defer trc.Recycle(tr)
-				strands := g.Exec().NumStrands()
+	trc := telemetry.NewTracer()
+	eng := diffEngine(exec.WithTracing(trc))
+	defer eng.Close()
+	for _, c := range diffCases() {
+		model := c.models[len(c.models)-1]
+		t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
+			g, _, err := c.build(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := submitTo(eng)(g); err != nil {
+				t.Fatal(err)
+			}
+			tr := takeTrace(t, trc)
+			defer trc.Recycle(tr)
+			strands := g.Exec().NumStrands()
 
-				type frameKey struct{ slot, id int32 }
-				open := make(map[frameKey]int)
-				var starts, ends, dispatches, completes int
-				for _, ev := range tr.Events {
-					if int(ev.Worker) >= tr.Workers {
-						t.Fatalf("event %v on worker %d of %d", ev.Kind, ev.Worker, tr.Workers)
+			type frameKey struct{ slot, id int32 }
+			open := make(map[frameKey]int)
+			var starts, ends, dispatches, completes int
+			for _, ev := range tr.Events {
+				if int(ev.Worker) >= tr.Workers {
+					t.Fatalf("event %v on worker %d of %d", ev.Kind, ev.Worker, tr.Workers)
+				}
+				switch ev.Kind {
+				case telemetry.EvRunStart:
+					starts++
+					if int(ev.Arg) != strands {
+						t.Fatalf("EvRunStart carries %d strands, graph has %d", ev.Arg, strands)
 					}
-					switch ev.Kind {
-					case telemetry.EvRunStart:
-						starts++
-						if int(ev.Arg) != strands {
-							t.Fatalf("EvRunStart carries %d strands, graph has %d", ev.Arg, strands)
-						}
-					case telemetry.EvRunEnd:
-						ends++
-					case telemetry.EvDispatch:
-						dispatches++
-						open[frameKey{ev.Slot, ev.ID}]++
-					case telemetry.EvComplete:
-						completes++
-						k := frameKey{ev.Slot, ev.ID}
-						open[k]--
-						if open[k] < 0 {
-							t.Fatalf("strand %d completed without a dispatch", ev.ID)
-						}
-					case telemetry.EvSteal:
-						if ev.Arg < -1 || ev.Arg >= int64(tr.Workers) {
-							t.Fatalf("steal victim %d out of range [-1, %d)", ev.Arg, tr.Workers)
-						}
+				case telemetry.EvRunEnd:
+					ends++
+				case telemetry.EvDispatch:
+					dispatches++
+					open[frameKey{ev.Slot, ev.ID}]++
+				case telemetry.EvComplete:
+					completes++
+					k := frameKey{ev.Slot, ev.ID}
+					open[k]--
+					if open[k] < 0 {
+						t.Fatalf("strand %d completed without a dispatch", ev.ID)
 					}
-				}
-				if starts != 1 || ends != 1 {
-					t.Fatalf("trace has %d EvRunStart and %d EvRunEnd, want 1 and 1", starts, ends)
-				}
-				if dispatches != strands {
-					t.Fatalf("trace has %d dispatches for %d strands", dispatches, strands)
-				}
-				if completes != dispatches {
-					t.Fatalf("%d completes for %d dispatches", completes, dispatches)
-				}
-				for k, n := range open {
-					if n != 0 {
-						t.Fatalf("strand %d (slot %d) left %d unmatched dispatches", k.id, k.slot, n)
+				case telemetry.EvSteal:
+					if ev.Arg < 0 || ev.Arg >= int64(tr.Workers) {
+						t.Fatalf("steal victim %d out of range [0, %d)", ev.Arg, tr.Workers)
 					}
 				}
-				checkChromeJSON(t, tr)
-			})
-		}
-		eng.Close()
+			}
+			if starts != 1 || ends != 1 {
+				t.Fatalf("trace has %d EvRunStart and %d EvRunEnd, want 1 and 1", starts, ends)
+			}
+			if dispatches != strands {
+				t.Fatalf("trace has %d dispatches for %d strands", dispatches, strands)
+			}
+			if completes != dispatches {
+				t.Fatalf("%d completes for %d dispatches", completes, dispatches)
+			}
+			for k, n := range open {
+				if n != 0 {
+					t.Fatalf("strand %d (slot %d) left %d unmatched dispatches", k.id, k.slot, n)
+				}
+			}
+			checkChromeJSON(t, tr)
+		})
 	}
 }
 
-// TestChaosTraced arms tracing and the fault injector together on every
-// policy: the run must still fail typed (panic containment is unchanged
-// by tracing), the stitched trace must record the failure, and the
-// Chrome export must stay well-formed.
+// TestChaosTraced arms tracing and the fault injector together: the run
+// must still fail typed (panic containment is unchanged by tracing), the
+// stitched trace must record the failure, and the Chrome export must
+// stay well-formed.
 func TestChaosTraced(t *testing.T) {
+	// The subtest is named for the engine's steal order: thieves take
+	// the oldest work first.
+	t.Run("fifo", chaosTraced)
+}
+
+func chaosTraced(t *testing.T) {
 	var fwCase diffCase
 	for _, c := range diffCases() {
 		if c.name == "FW-1D" {
 			fwCase = c
 		}
 	}
-	for _, p := range diffPolicies {
-		t.Run(p.String(), func(t *testing.T) {
-			var armed atomic.Bool
-			trc := telemetry.NewTracer()
-			eng := diffEngine(p,
-				exec.WithTracing(trc),
-				exec.WithFaultInjector(func(strand int32) exec.Fault {
-					if armed.Load() && strand == 7 {
-						return exec.FaultPanic
-					}
-					return exec.FaultNone
-				}))
-			defer eng.Close()
-			g, _, err := fwCase.build(algos.ND)
-			if err != nil {
-				t.Fatal(err)
+	var armed atomic.Bool
+	trc := telemetry.NewTracer()
+	eng := diffEngine(
+		exec.WithTracing(trc),
+		exec.WithFaultInjector(func(strand int32) exec.Fault {
+			if armed.Load() && strand == 7 {
+				return exec.FaultPanic
 			}
-
-			// A disarmed traced run succeeds and stitches normally.
-			if err := eng.Run(g.P); err != nil {
-				t.Fatal(err)
-			}
-			trc.Recycle(takeTrace(t, trc))
-
-			armed.Store(true)
-			var spe *exec.StrandPanicError
-			if err := submitTo(eng)(g); !errors.As(err, &spe) {
-				t.Fatalf("traced chaos run returned %v, want *StrandPanicError", err)
-			}
-			tr := takeTrace(t, trc)
-			defer trc.Recycle(tr)
-			if fails := tr.Counts()[telemetry.EvRunFail]; fails != 1 {
-				t.Fatalf("failed run's trace has %d EvRunFail events, want 1", fails)
-			}
-			checkChromeJSON(t, tr)
-		})
+			return exec.FaultNone
+		}))
+	defer eng.Close()
+	g, _, err := fwCase.build(algos.ND)
+	if err != nil {
+		t.Fatal(err)
 	}
+
+	// A disarmed traced run succeeds and stitches normally.
+	if err := eng.Run(g.P); err != nil {
+		t.Fatal(err)
+	}
+	trc.Recycle(takeTrace(t, trc))
+
+	armed.Store(true)
+	var spe *exec.StrandPanicError
+	if err := submitTo(eng)(g); !errors.As(err, &spe) {
+		t.Fatalf("traced chaos run returned %v, want *StrandPanicError", err)
+	}
+	tr := takeTrace(t, trc)
+	defer trc.Recycle(tr)
+	if fails := tr.Counts()[telemetry.EvRunFail]; fails != 1 {
+		t.Fatalf("failed run's trace has %d EvRunFail events, want 1", fails)
+	}
+	checkChromeJSON(t, tr)
 }
 
 // TestTraceDynSuspension runs a dynamic program whose root strand parks
