@@ -5,12 +5,12 @@
 //
 // The suite mechanizes the hand-maintained concurrency invariants the
 // lock-free engine's correctness rests on (see DESIGN.md, "static
-// verification"): atomicfield forbids mixed atomic/plain access to one
-// location; noalloc gates `//ndlint:noalloc` functions on the
-// compiler's escape analysis; nonblocking walks the call graph from
-// `//ndlint:hotpath` roots and flags blocking operations; padalign
-// sizes `//ndlint:cacheline` structs. CI runs ndlint as a required job
-// next to vet and staticcheck.
+// verification"): atomicfield forbids the sync/atomic package-level
+// functions, so shared memory goes through the typed atomics; noalloc
+// gates `//ndlint:noalloc` functions on the compiler's escape analysis;
+// nonblocking walks the call graph from `//ndlint:hotpath` roots and
+// flags blocking operations. CI runs ndlint as a required job next to
+// vet and staticcheck.
 //
 // Findings print one per line as file:line:col: analyzer: message.
 // Exit status: 0 clean, 1 findings, 2 driver error (unloadable

@@ -23,8 +23,8 @@ func TestRun(t *testing.T) {
 			patterns: []string{"./testdata/src/demo"},
 			wantExit: 1,
 			wantOut: []string{
-				"testdata/src/demo/demo.go:7:1: ndlint: unknown //ndlint:cachelin directive",
-				"testdata/src/demo/demo.go:11:6: padalign: short is marked //ndlint:cacheline but is 24 bytes",
+				"testdata/src/demo/demo.go:9:1: ndlint: unknown //ndlint:cachelin directive",
+				"testdata/src/demo/demo.go:12:31: atomicfield: atomic.AddInt64 operates on plain memory",
 			},
 			wantErr: "ndlint: 2 finding(s)",
 		},

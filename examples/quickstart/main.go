@@ -18,10 +18,10 @@ func run(w io.Writer) error {
 	// ---- Part 1: the paper's Figure 3 ------------------------------
 	// MAIN() { F() FG~> G() }, F = A ; B, G = C ; D, and the fire rule
 	// +FG~>- = { +1 ; -1 }: only C depends on A, so D can overlap B.
-	var executed int64
+	var executed atomic.Int64
 	step := func(name string) *ndflow.Node {
 		return ndflow.Strand(name, 1, nil, nil, func() {
-			atomic.AddInt64(&executed, 1)
+			executed.Add(1)
 		})
 	}
 	fig3 := ndflow.Fire("FG",
@@ -44,7 +44,7 @@ func run(w io.Writer) error {
 	if err := ndflow.Run(g, 2); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "executed %d strands on the goroutine runtime\n\n", executed)
+	fmt.Fprintf(w, "executed %d strands on the goroutine runtime\n\n", executed.Load())
 
 	// ---- Part 2: a custom recursive fire construct ------------------
 	// A pipeline of stages over a chunked buffer: stage two may process

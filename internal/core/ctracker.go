@@ -23,21 +23,21 @@ import (
 // the firing value.
 //
 // A tracker is reusable: Reset rewinds it to the pre-run state in O(1) by
-// advancing a generation stamp instead of re-copying the counter array.
-// Counters are never re-initialized; each run drains counter t by exactly
-// need[t] decrement weight, so after g completed runs the counter sits at
-// need[t]·(1−g) and the firing value of generation g is need[t]·(1−g).
-// All arithmetic is int32 and wraps mod 2³²; the firing comparison stays
-// exact under wrap-around because within one run the counter traverses
-// need[t] < 2³² distinct residues, so no mid-run value can collide with
-// the firing value.
+// advancing a generation stamp instead of re-initializing the counters.
+// Counters start at zero and are never re-initialized; each run drains
+// counter t by exactly need[t] decrement weight, so after g completed
+// runs the counter sits at −need[t]·g and the firing value of generation
+// g is −need[t]·g. All arithmetic is int32 and wraps mod 2³², the stamp
+// included; the firing comparison stays exact under wrap-around because
+// within one run the counter traverses need[t] < 2³² distinct residues,
+// so no mid-run value can collide with the firing value.
 type ConcurrentTracker struct {
 	wg *WakeGraph
 
-	// cnt[t] counts down forever across generations; accessed atomically
-	// after construction. Indexed like WakeGraph counters: t < NumStrands
-	// is strand t's ready gate, t ≥ NumStrands is a relay.
-	cnt []int32
+	// cnt[t] counts down forever across generations. Indexed like
+	// WakeGraph counters: t < NumStrands is strand t's ready gate,
+	// t ≥ NumStrands is a relay.
+	cnt []atomic.Int32
 	// gen is the 1-based generation (run number). Written only by Reset,
 	// which callers must serialize with run completion (see Reset).
 	gen int32
@@ -57,9 +57,7 @@ type ConcurrentTracker struct {
 // computed once per ExecGraph and shared.
 func NewConcurrentTracker(eg *ExecGraph) *ConcurrentTracker {
 	w := eg.Wake()
-	t := &ConcurrentTracker{wg: w, gen: 1}
-	//ndlint:allowplain pre-publication: no other goroutine can hold the tracker until this constructor returns it
-	t.cnt = append([]int32(nil), w.need...)
+	t := &ConcurrentTracker{wg: w, cnt: make([]atomic.Int32, len(w.need)), gen: 1}
 	t.left.Store(int64(w.numSinks))
 	return t
 }
@@ -93,14 +91,14 @@ func (t *ConcurrentTracker) Complete(id int32, ready, scratch []int32) ([]int32,
 		// touches the shared latch.
 		return ready, scratch, t.left.Add(-1) == 0
 	}
-	// Firing value of this generation: need[c]·(1−gen), wrapping.
-	genOff := 1 - t.gen
+	// Firing value of this generation: −need[c]·gen, wrapping.
+	negGen := -t.gen
 	nStrands := int32(w.numStrands)
 	row := id
 	for {
 		for k := w.wakeOff[row]; k < w.wakeOff[row+1]; k++ {
 			c := w.targets[k]
-			if atomic.AddInt32(&t.cnt[c], -w.weights[k]) != genOff*w.need[c] {
+			if t.cnt[c].Add(-w.weights[k]) != negGen*w.need[c] {
 				continue
 			}
 			if c < nStrands {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -158,4 +160,59 @@ func TestTrackerResetPanicsMidRun(t *testing.T) {
 		}
 	}()
 	ct.Reset()
+}
+
+// TestTrackerGenerationWrap pins the wrap-around claim of
+// ConcurrentTracker's type comment. The stamp and the counters are
+// seeded as if the tracker had completed all runs up to two generations
+// below the int32 wrap; four generations then run across it, and each
+// must hand out the same ready sets as a fresh tracker and end Done.
+func TestTrackerGenerationWrap(t *testing.T) {
+	weighted := false
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var leaves int
+		p, err := NewProgram(randomTree(r, 5, &leaves), randomRules(r))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		g, err := Rewrite(p)
+		if err != nil {
+			continue
+		}
+		eg := g.Exec()
+		w := eg.Wake()
+		dut := NewConcurrentTracker(eg)
+		dut.gen = math.MaxInt32 - 1
+		for c := range dut.cnt {
+			dut.cnt[c].Store(-w.need[c] * (dut.gen - 1))
+			weighted = weighted || w.need[c] > 1
+		}
+		for run, gen := range [4]int32{math.MaxInt32 - 1, math.MaxInt32, math.MinInt32, math.MinInt32 + 1} {
+			if got := dut.Generation(); got != gen {
+				t.Fatalf("seed %d run %d: generation = %d, want %d", seed, run, got, gen)
+			}
+			ref := NewConcurrentTracker(eg)
+			queue := append([]int32(nil), dut.InitialReady()...)
+			var dNew, dScratch, rNew, rScratch []int32
+			for i := 0; i < len(queue); i++ {
+				var dDone, rDone bool
+				dNew, dScratch, dDone = dut.Complete(queue[i], dNew[:0], dScratch)
+				rNew, rScratch, rDone = ref.Complete(queue[i], rNew[:0], rScratch)
+				if !equalIDs(dNew, rNew) || dDone != rDone {
+					t.Fatalf("seed %d generation %d: Complete(%d) = %v, %v; fresh tracker %v, %v",
+						seed, gen, queue[i], dNew, dDone, rNew, rDone)
+				}
+				queue = append(queue, dNew...)
+			}
+			if len(queue) != eg.NumStrands() || !dut.Done() {
+				t.Fatalf("seed %d generation %d: completed %d of %d strands, done=%v",
+					seed, gen, len(queue), eg.NumStrands(), dut.Done())
+			}
+			dut.Reset()
+		}
+	}
+	if !weighted {
+		t.Fatal("no seed built a counter with need > 1; the wrap is only exercised at weight 1")
+	}
 }

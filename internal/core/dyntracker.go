@@ -6,7 +6,7 @@ import "sync/atomic"
 // counterpart of ConcurrentTracker for computations whose DAG is not known
 // at compile time. A compiled run knows its strand count up front, so
 // ConcurrentTracker can precompute every counter's per-run need and rewind
-// them all at once with the need·(1−gen) generation trick. A dynamic run
+// them all at once with the −need·gen generation trick. A dynamic run
 // discovers its strands as they spawn, so the per-strand counters live in
 // the runtime's continuation frames and follow the degenerate form of the
 // same discipline: each counter is armed with its need immediately before

@@ -99,11 +99,11 @@ func TestRunRandomTopoAllOrdersLegal(t *testing.T) {
 }
 
 func TestRunParallelExecutesAll(t *testing.T) {
-	var count int64
+	var count atomic.Int64
 	n := 200
 	nodes := make([]*core.Node, n)
 	for i := range nodes {
-		nodes[i] = core.NewStrand("s", 1, nil, nil, func() { atomic.AddInt64(&count, 1) })
+		nodes[i] = core.NewStrand("s", 1, nil, nil, func() { count.Add(1) })
 	}
 	p, err := core.NewProgram(core.NewPar(nodes...), nil)
 	if err != nil {
@@ -116,17 +116,17 @@ func TestRunParallelExecutesAll(t *testing.T) {
 	if err := RunParallel(g, 8); err != nil {
 		t.Fatal(err)
 	}
-	if count != int64(n) {
-		t.Fatalf("executed %d of %d strands", count, n)
+	if count.Load() != int64(n) {
+		t.Fatalf("executed %d of %d strands", count.Load(), n)
 	}
 }
 
 func TestRunParallelDefaultWorkers(t *testing.T) {
 	// Independent strands must be thread-safe: use an atomic counter.
-	var count int64
+	var count atomic.Int64
 	nodes := make([]*core.Node, 4)
 	for i := range nodes {
-		nodes[i] = core.NewStrand("s", 1, nil, nil, func() { atomic.AddInt64(&count, 1) })
+		nodes[i] = core.NewStrand("s", 1, nil, nil, func() { count.Add(1) })
 	}
 	p, err := core.NewProgram(core.NewPar(nodes...), nil)
 	if err != nil {
@@ -139,8 +139,8 @@ func TestRunParallelDefaultWorkers(t *testing.T) {
 	if err := RunParallel(g, 0); err != nil {
 		t.Fatal(err)
 	}
-	if count != 4 {
-		t.Fatalf("executed %d strands, want 4", count)
+	if got := count.Load(); got != 4 {
+		t.Fatalf("executed %d strands, want 4", got)
 	}
 }
 

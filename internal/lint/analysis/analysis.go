@@ -41,7 +41,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Sizes     types.Sizes
 
 	// Escapes holds the package's compiler escape-analysis marks when
 	// Analyzer.NeedsEscapes is set; nil otherwise.

@@ -4,17 +4,15 @@
 //
 //	//ndlint:noalloc                 — function must not heap-allocate
 //	//ndlint:hotpath                 — function roots a non-blocking call-graph walk
-//	//ndlint:cacheline               — struct must be a 64-byte multiple
 //	//ndlint:allowblock <reason>     — suppress one nonblocking finding
-//	//ndlint:allowplain <reason>     — suppress one atomicfield finding
 //
-// Declaration annotations (noalloc, hotpath, cacheline)
-// attach through the declaration's doc comment. Suppression
-// annotations (allowblock, allowplain) attach to a line: either as a
-// trailing comment on the offending line or as a full-line comment
-// immediately above it. Suppressions require a reason — an empty
-// reason is itself a finding, so the vocabulary cannot rot into bare
-// switch-it-off markers.
+// Function annotations (noalloc, hotpath) attach through the
+// function's doc comment. The suppression annotation (allowblock)
+// attaches to a line: either as a trailing comment on the offending
+// line or as a full-line comment immediately above it; on a function's
+// doc comment it exempts the whole function. Suppressions require a
+// reason — an empty reason is itself a finding, so the vocabulary
+// cannot rot into bare switch-it-off markers.
 package annot
 
 import (
@@ -31,9 +29,7 @@ const Prefix = "//ndlint:"
 var Known = map[string]bool{
 	"noalloc":    true,
 	"hotpath":    true,
-	"cacheline":  true,
 	"allowblock": true,
-	"allowplain": true,
 }
 
 // Directive is one parsed //ndlint: comment.
@@ -110,20 +106,7 @@ func (af *File) Suppressed(pos token.Pos, name string) (Directive, bool) {
 // FuncDirective returns the named directive attached to fn's doc
 // comment, if any.
 func (af *File) FuncDirective(fn *ast.FuncDecl, name string) (Directive, bool) {
-	return docDirective(af, fn.Doc, name)
-}
-
-// GenDirective returns the named directive attached to a declaration
-// inside a GenDecl: the spec's own doc comment wins, then the group
-// declaration's.
-func (af *File) GenDirective(decl *ast.GenDecl, specDoc *ast.CommentGroup, name string) (Directive, bool) {
-	if d, ok := docDirective(af, specDoc, name); ok {
-		return d, ok
-	}
-	return docDirective(af, decl.Doc, name)
-}
-
-func docDirective(af *File, doc *ast.CommentGroup, name string) (Directive, bool) {
+	doc := fn.Doc
 	if doc == nil {
 		return Directive{}, false
 	}

@@ -1,302 +1,39 @@
-// Package atomicfield implements the ndlint analyzer that forbids
-// mixed atomic/plain access to one memory location.
+// Package atomicfield implements the ndlint analyzer that keeps shared
+// memory on the typed atomics.
 //
-// The engine's lock-free invariants assume every cross-thread field is
-// accessed through one memory model: either always via sync/atomic
-// (`atomic.AddInt32(&t.cnt[c], ...)`) or always under a lock. One plain
-// load of a field that other code mutates atomically is invisible to
-// the race detector in most interleavings but voids the ordering the
-// algorithm depends on — exactly the class of bug that corrupts sleeper
-// mirrors, failure words, and tracker counters.
-//
-// The analyzer marks a struct field (or package-level variable) as
-// atomic when any code in the package passes its address to a
-// sync/atomic function, either the location itself (&s.n) or an element
-// of a slice it holds (&s.cnt[i]). Every other access is then checked:
-//
-//   - scalar locations: any plain read, write, or address-take is a
-//     finding;
-//   - slice locations with atomic elements: plain element access
-//     (s.cnt[i]) and reassignment of the slice header are findings,
-//     while len/cap/range-index reads are not — growing or swapping the
-//     backing array out from under concurrent atomic accessors is a
-//     bug, but measuring it is not;
-//   - fields of type atomic.Int32/atomic.Pointer[T]/...: the method set
-//     already enforces atomicity, so only direct copies or
-//     reassignments of the value are findings.
-//
-// Pre-publication initialization (constructors building a value no
-// other goroutine can see yet) is legitimately plain: suppress with
-// `//ndlint:allowplain <reason>` on or above the access.
+// The engine's lock-free invariants assume every cross-thread location
+// is accessed through one memory model. The sync/atomic types
+// (atomic.Int32, atomic.Pointer[T], ...) hold that in the type system:
+// their value is reachable only through atomic methods, so a plain load
+// or store of one does not compile, and go vet's copylocks check
+// rejects copying one by value. The package-level functions
+// (`atomic.AddInt32(&x, 1)`, ...) instead operate on plain memory that
+// any other line may still read or write plainly, which voids the
+// ordering the algorithm depends on. So every use of a sync/atomic
+// package-level function is a finding: the typed atomics are the only
+// way in.
 package atomicfield
 
 import (
-	"fmt"
-	"go/ast"
-	"go/token"
 	"go/types"
-	"path/filepath"
-	"strings"
 
 	"github.com/ndflow/ndflow/internal/lint/analysis"
-	"github.com/ndflow/ndflow/internal/lint/annot"
 )
 
-// Analyzer is the mixed atomic/plain access checker.
+// Analyzer is the function-style sync/atomic checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicfield",
-	Doc:  "forbid plain access to fields that are accessed via sync/atomic elsewhere in the package",
+	Doc:  "forbid sync/atomic package-level functions; shared memory goes through the typed atomics",
 	Run:  run,
 }
 
-// accessClass records how a location is atomically used.
-type accessClass struct {
-	scalar    bool      // &loc passed to sync/atomic
-	elem      bool      // &loc[i] passed to sync/atomic (loc is a slice/array)
-	firstAtom token.Pos // one atomic use, for the finding message
-}
-
 func run(pass *analysis.Pass) error {
-	marked := make(map[*types.Var]*accessClass)
-	// sanctioned holds the address-operand subtrees of atomic calls;
-	// uses inside them are the atomic accesses themselves.
-	sanctioned := make(map[ast.Node]bool)
-
-	// Phase 1: find every sync/atomic call and mark its target.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			if !isAtomicFnCall(pass, call) {
-				return true
-			}
-			addr, ok := call.Args[0].(*ast.UnaryExpr)
-			if !ok || addr.Op != token.AND {
-				return true
-			}
-			sanctioned[addr] = true
-			switch x := addr.X.(type) {
-			case *ast.SelectorExpr: // &s.f
-				if v := asVar(pass, x.Sel); v != nil {
-					mark(marked, v, false, addr.Pos())
-				}
-			case *ast.Ident: // &pkgVar
-				if v := pkgLevelVar(pass, x); v != nil {
-					mark(marked, v, false, addr.Pos())
-				}
-			case *ast.IndexExpr: // &s.f[i] or &pkgVar[i]
-				switch base := x.X.(type) {
-				case *ast.SelectorExpr:
-					if v := asVar(pass, base.Sel); v != nil {
-						mark(marked, v, true, addr.Pos())
-					}
-				case *ast.Ident:
-					if v := pkgLevelVar(pass, base); v != nil {
-						mark(marked, v, true, addr.Pos())
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	// Phase 2: every remaining use of a marked location is plain.
-	for _, f := range pass.Files {
-		af := annot.NewFile(pass.Fset, f)
-		withStack(f, func(n ast.Node, stack []ast.Node) bool {
-			if sanctioned[n] {
-				return false
-			}
-			var v *types.Var
-			var pos token.Pos
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				v, pos = asVar(pass, x.Sel), x.Pos()
-			case *ast.Ident:
-				// Only free-standing idents: selector Sel idents are
-				// handled (and skipped) via their parent.
-				if len(stack) > 0 {
-					if sel, ok := stack[len(stack)-1].(*ast.SelectorExpr); ok && sel.Sel == x {
-						return true
-					}
-					if kv, ok := stack[len(stack)-1].(*ast.KeyValueExpr); ok && kv.Key == x {
-						return true
-					}
-				}
-				v, pos = pkgLevelVar(pass, x), x.Pos()
-			default:
-				return true
-			}
-			if v == nil {
-				return true
-			}
-			cls := marked[v]
-			if cls != nil {
-				if msg, bad := plainUseMsg(pass, cls, n, stack); bad {
-					report(pass, af, pos, v, msg, cls.firstAtom)
-				}
-				return true
-			}
-			if isAtomicType(v.Type()) && v.IsField() {
-				if msg, bad := typedMisuse(n, stack); bad {
-					report(pass, af, pos, v, msg, token.NoPos)
-				}
-			}
-			return true
-		})
+	for id, obj := range pass.TypesInfo.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Signature().Recv() != nil {
+			continue
+		}
+		pass.Reportf(id.Pos(), "atomic.%s operates on plain memory that other code can access plainly; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fn.Name())
 	}
 	return nil
-}
-
-func mark(m map[*types.Var]*accessClass, v *types.Var, elem bool, pos token.Pos) {
-	cls := m[v]
-	if cls == nil {
-		cls = &accessClass{firstAtom: pos}
-		m[v] = cls
-	}
-	if elem {
-		cls.elem = true
-	} else {
-		cls.scalar = true
-	}
-}
-
-// plainUseMsg classifies a non-atomic use of a marked location,
-// returning a finding message when the use mixes memory models.
-func plainUseMsg(pass *analysis.Pass, cls *accessClass, n ast.Node, stack []ast.Node) (string, bool) {
-	if cls.scalar {
-		return "plain access of atomically-accessed location", true
-	}
-	// Element-atomic slice: flag element access and header writes.
-	if len(stack) == 0 {
-		return "", false
-	}
-	parent := stack[len(stack)-1]
-	if ix, ok := parent.(*ast.IndexExpr); ok && ix.X == n {
-		return "plain element access of slice whose elements are accessed atomically", true
-	}
-	if as, ok := parent.(*ast.AssignStmt); ok {
-		for _, lhs := range as.Lhs {
-			if lhs == n {
-				return "reassigning the header of a slice whose elements are accessed atomically", true
-			}
-		}
-	}
-	return "", false
-}
-
-// typedMisuse flags direct copies/reassignments of atomic.X-typed
-// fields; method calls and address-takes are their intended use.
-func typedMisuse(n ast.Node, stack []ast.Node) (string, bool) {
-	if len(stack) == 0 {
-		return "", false
-	}
-	switch parent := stack[len(stack)-1].(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range parent.Lhs {
-			if lhs == n {
-				return "reassigning a sync/atomic-typed field (resets it non-atomically)", true
-			}
-		}
-		for _, rhs := range parent.Rhs {
-			if rhs == n {
-				return "copying a sync/atomic-typed field by value", true
-			}
-		}
-	case *ast.KeyValueExpr:
-		if parent.Value == n {
-			return "copying a sync/atomic-typed field by value", true
-		}
-	}
-	return "", false
-}
-
-func report(pass *analysis.Pass, af *annot.File, pos token.Pos, v *types.Var, msg string, atomAt token.Pos) {
-	if d, ok := af.Suppressed(pos, "allowplain"); ok {
-		if strings.TrimSpace(d.Args) == "" {
-			pass.Reportf(pos, "suppression //ndlint:allowplain requires a reason")
-		}
-		return
-	}
-	where := ""
-	if atomAt.IsValid() {
-		p := pass.Fset.Position(atomAt)
-		where = fmt.Sprintf(" (atomic access at %s:%d:%d)", filepath.Base(p.Filename), p.Line, p.Column)
-	}
-	pass.Reportf(pos, "%s: %s%s", v.Name(), msg, where)
-}
-
-// isAtomicFnCall reports whether call invokes a sync/atomic package
-// function that takes an address (Add*, Load*, Store*, Swap*,
-// CompareAndSwap*).
-func isAtomicFnCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	// Methods on atomic.Int32 etc. have receivers; the address-taking
-	// API is package functions only.
-	if fn.Signature().Recv() != nil {
-		return false
-	}
-	for _, prefix := range [...]string{"Add", "And", "Or", "Load", "Store", "Swap", "CompareAndSwap"} {
-		if strings.HasPrefix(fn.Name(), prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// isAtomicType reports whether t (or its named origin) is declared in
-// sync/atomic — atomic.Int64, atomic.Pointer[T], atomic.Value, ...
-func isAtomicType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-func asVar(pass *analysis.Pass, id *ast.Ident) *types.Var {
-	v, _ := pass.TypesInfo.Uses[id].(*types.Var)
-	if v == nil || !v.IsField() {
-		return nil
-	}
-	return v
-}
-
-// pkgLevelVar resolves id to a package-level variable of this package.
-func pkgLevelVar(pass *analysis.Pass, id *ast.Ident) *types.Var {
-	v, _ := pass.TypesInfo.Uses[id].(*types.Var)
-	if v == nil || v.IsField() || v.Pkg() != pass.Pkg {
-		return nil
-	}
-	if v.Parent() != pass.Pkg.Scope() {
-		return nil
-	}
-	return v
-}
-
-// withStack is ast.Inspect with the path of ancestors available to the
-// callback (innermost ancestor last). Returning false prunes descent.
-func withStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }

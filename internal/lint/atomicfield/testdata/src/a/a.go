@@ -1,66 +1,30 @@
 // Package a is the atomicfield failing-case spec: every // want line
-// is a mixed-memory-model access the analyzer must flag, and every
-// unannotated access is one it must not.
+// uses a sync/atomic package-level function the analyzer must flag, and
+// every typed-atomic method call is one it must not.
 package a
 
 import "sync/atomic"
 
 type counter struct {
-	n    int64       // accessed via atomic.AddInt64 → scalar-atomic
-	cnt  []int32     // elements accessed via atomic.AddInt32 → elem-atomic
-	done atomic.Bool // typed atomic: methods only
-	name string      // never atomic: plain access fine
+	n    int64
+	done atomic.Bool
+	cnt  []atomic.Int32
 }
 
-func (c *counter) inc() { atomic.AddInt64(&c.n, 1) }
+func (c *counter) inc() { atomic.AddInt64(&c.n, 1) } // want `atomic.AddInt64 operates on plain memory`
 
-func (c *counter) read() int64 { return atomic.LoadInt64(&c.n) }
-
-func (c *counter) bad() int64 { return c.n } // want `plain access of atomically-accessed location`
-
-func (c *counter) badWrite() { c.n = 0 } // want `plain access of atomically-accessed location`
-
-func (c *counter) badAddr() *int64 { return &c.n } // want `plain access of atomically-accessed location`
-
-func (c *counter) decElem(i int) bool { return atomic.AddInt32(&c.cnt[i], -1) == 0 }
-
-func (c *counter) badElem() int32 { return c.cnt[0] } // want `plain element access`
-
-func (c *counter) badElemWrite(i int) { c.cnt[i] = 7 } // want `plain element access`
-
-func (c *counter) badHeader() { c.cnt = nil } // want `reassigning the header`
-
-func (c *counter) okLen() int { return len(c.cnt) }
-
-func (c *counter) okRange() int {
-	k := 0
-	for i := range c.cnt {
-		k += i
-	}
-	return k
-}
-
-func newCounter(need []int32) *counter {
-	c := &counter{}
-	c.cnt = append([]int32(nil), need...) //ndlint:allowplain constructed before publication
-	return c
-}
-
-func (c *counter) badSuppression() {
-	//ndlint:allowplain
-	c.n = 1 // want `requires a reason`
-}
-
-func (c *counter) badTypedCopy(o *counter) {
-	c.done = o.done // want `reassigning a sync/atomic-typed field` `copying a sync/atomic-typed field`
-}
-
-func (c *counter) okTyped() bool { return c.done.Load() }
-
-func (c *counter) okPlainField() string { return c.name }
+func (c *counter) read() int64 { return atomic.LoadInt64(&c.n) } // want `atomic.LoadInt64`
 
 var gate int32
 
-func openGate() { atomic.StoreInt32(&gate, 1) }
+func openGate() bool { return atomic.CompareAndSwapInt32(&gate, 0, 1) } // want `atomic.CompareAndSwapInt32`
 
-func badGate() int32 { return gate } // want `plain access of atomically-accessed location`
+var load = atomic.LoadInt32 // want `atomic.LoadInt32`
+
+func (c *counter) okTyped() bool { return c.done.Load() }
+
+func (c *counter) okElem(i int) bool { return c.cnt[i].Add(-1) == 0 }
+
+var head atomic.Pointer[counter]
+
+func okPointer() *counter { return head.Load() }

@@ -5,9 +5,9 @@
 //
 // The suite mechanizes the concurrency invariants DESIGN.md documents
 // for the lock-free engine (see the "static verification" section):
-// single-memory-model field access (atomicfield), allocation-free
-// annotated hot functions (noalloc), non-blocking hot paths
-// (nonblocking), and cache-line-sized padded structs (padalign).
+// shared memory only through the typed atomics (atomicfield),
+// allocation-free annotated hot functions (noalloc), and non-blocking
+// hot paths (nonblocking).
 package lint
 
 import (
@@ -21,7 +21,6 @@ import (
 	"github.com/ndflow/ndflow/internal/lint/load"
 	"github.com/ndflow/ndflow/internal/lint/noalloc"
 	"github.com/ndflow/ndflow/internal/lint/nonblocking"
-	"github.com/ndflow/ndflow/internal/lint/padalign"
 )
 
 // Suite returns the ndlint analyzers in reporting order.
@@ -30,7 +29,6 @@ func Suite() []*analysis.Analyzer {
 		atomicfield.Analyzer,
 		noalloc.Analyzer,
 		nonblocking.Analyzer,
-		padalign.Analyzer,
 	}
 }
 
@@ -95,7 +93,6 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 				Files:     p.Syntax,
 				Pkg:       p.Types,
 				TypesInfo: p.Info,
-				Sizes:     p.Sizes,
 			}
 			if a.NeedsEscapes {
 				pass.Escapes = escapes

@@ -91,7 +91,6 @@ func runPkg(t *testing.T, a *analysis.Analyzer, p *load.Package) {
 		Files:     p.Syntax,
 		Pkg:       p.Types,
 		TypesInfo: p.Info,
-		Sizes:     p.Sizes,
 	}
 	if a.NeedsEscapes {
 		marks, err := escape.Analyze(p)

@@ -26,7 +26,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -41,7 +40,6 @@ type Package struct {
 	Syntax []*ast.File
 	Types  *types.Package
 	Info   *types.Info
-	Sizes  types.Sizes
 
 	// Export maps every import path in the build closure (this package
 	// and all dependencies) to its compiler export-data file — the raw
@@ -103,10 +101,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	sizes := types.SizesFor("gc", runtime.GOARCH)
-	if sizes == nil {
-		return nil, fmt.Errorf("no gc sizes for GOARCH %s", runtime.GOARCH)
-	}
 	lookup := func(path string) (io.ReadCloser, error) {
 		e, ok := exports[path]
 		if !ok {
@@ -138,7 +132,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		// loaded packages per instance, and sharing one across targets
 		// that also appear in each other's dep closures is fine, but a
 		// fresh one keeps failure attribution per package.
-		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup), Sizes: sizes}
+		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
 		tpkg, err := conf.Check(t.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %v", t.ImportPath, err)
@@ -151,7 +145,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Syntax:     files,
 			Types:      tpkg,
 			Info:       info,
-			Sizes:      sizes,
 			Export:     exports,
 		})
 	}

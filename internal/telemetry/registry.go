@@ -52,10 +52,8 @@ const (
 )
 
 // cell is one shard's slot of one counter, padded so adjacent shards
-// never share a cache line (the whole point of sharding); ndlint's
-// padalign analyzer pins the size to a 64-byte multiple.
-//
-//ndlint:cacheline
+// never share a cache line (the whole point of sharding);
+// TestCacheLinePadding pins the size to a 64-byte multiple.
 type cell struct {
 	n atomic.Uint64
 	_ [56]byte

@@ -15,6 +15,23 @@ func TestEventIsFixedSize(t *testing.T) {
 	}
 }
 
+// TestCacheLinePadding pins the padding of the structs that live
+// contiguously and are written by different workers: each must be a
+// positive multiple of a 64-byte cache line on the host architecture,
+// so neighbours in a slice never share a line. A field added without
+// rebalancing the padding tail fails here. It is a test, not a
+// compile-time assertion, because lane is 52 bytes on 32-bit targets.
+func TestCacheLinePadding(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"cell": unsafe.Sizeof(cell{}),
+		"lane": unsafe.Sizeof(lane{}),
+	} {
+		if size == 0 || size%64 != 0 {
+			t.Errorf("%s is %d bytes, want a positive multiple of 64; rebalance its padding tail", name, size)
+		}
+	}
+}
+
 func TestCounterShardingAndSum(t *testing.T) {
 	r := NewRegistry(4 + 1)
 	c := r.Counter("x_total")

@@ -95,10 +95,8 @@ type Event struct {
 // uncontended in steady state — only the owner appends; the stitcher
 // takes it briefly at run end. Lanes live contiguously in
 // Tracer.lanes, so the struct is padded to a cache-line multiple
-// (held by ndlint's padalign analyzer) to keep neighbours from
+// (held by TestCacheLinePadding) to keep neighbours from
 // false-sharing.
-//
-//ndlint:cacheline
 type lane struct {
 	mu sync.Mutex
 	ev []Event

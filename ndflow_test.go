@@ -13,13 +13,13 @@ import (
 // +FG~>- = {+1 ; -1}.
 func TestPaperMainExample(t *testing.T) {
 	var order []string
-	var mu int32
+	var mu atomic.Int32
 	step := func(name string) func() {
 		return func() {
-			for !atomic.CompareAndSwapInt32(&mu, 0, 1) {
+			for !mu.CompareAndSwap(0, 1) {
 			}
 			order = append(order, name)
-			atomic.StoreInt32(&mu, 0)
+			mu.Store(0)
 		}
 	}
 	a := ndflow.Strand("A", 3, nil, nil, step("A"))
