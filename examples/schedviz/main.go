@@ -2,7 +2,9 @@
 // the same Parallel Memory Hierarchy and prints their locality and
 // load-balance profiles, reproducing in miniature the comparison that
 // motivates §4: the space-bounded scheduler preserves locality at shared
-// cache levels where work stealing scatters the working set.
+// cache levels where work stealing scatters the working set. The WS rows
+// are the execution engine's own scheduler (exec.SimScheduler) run in
+// virtual time, one goroutine-less worker per simulated processor.
 //
 // Run with: go run ./examples/schedviz [-algo TRS] [-n 64]
 package main
@@ -15,11 +17,11 @@ import (
 	"text/tabwriter"
 
 	"github.com/ndflow/ndflow/internal/algos"
+	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/experiments"
 	"github.com/ndflow/ndflow/internal/metrics"
 	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/sched/spacebound"
-	"github.com/ndflow/ndflow/internal/sched/worksteal"
 	"github.com/ndflow/ndflow/internal/sim"
 )
 
@@ -74,7 +76,7 @@ func run(out io.Writer, algo string, n, base int) error {
 			var sched sim.Scheduler
 			var sb *spacebound.Scheduler
 			if policy == "WS" {
-				sched = worksteal.New(3)
+				sched = exec.NewSimScheduler()
 			} else {
 				sb = spacebound.New(spacebound.Config{})
 				sched = sb

@@ -4,9 +4,10 @@ import (
 	"sync/atomic"
 )
 
-// ConcurrentTracker is the lock-free counterpart of Tracker: readiness is
-// propagated with atomic counter decrements, so any number of workers can
-// complete strands and collect newly-ready work without a global lock.
+// ConcurrentTracker propagates readiness with atomic counter decrements,
+// so any number of workers can complete strands and collect newly-ready
+// work without a global lock. It is the only readiness cascade: Tracker
+// is a single-threaded view over it.
 //
 // It operates on the strand-level wake graph (see WakeGraph), not the raw
 // event graph: Complete(id) is a flat loop over strand id's wake list —
@@ -55,8 +56,9 @@ type ConcurrentTracker struct {
 // with the initially-enabled strands collected (see InitialReady). The
 // construction itself is single-threaded; the wake-graph collapse is
 // computed once per ExecGraph and shared.
-func NewConcurrentTracker(eg *ExecGraph) *ConcurrentTracker {
-	w := eg.Wake()
+func NewConcurrentTracker(eg *ExecGraph) *ConcurrentTracker { return newConcurrentTracker(eg.Wake()) }
+
+func newConcurrentTracker(w *WakeGraph) *ConcurrentTracker {
 	t := &ConcurrentTracker{wg: w, cnt: make([]atomic.Int32, len(w.need)), gen: 1}
 	t.left.Store(int64(w.numSinks))
 	return t
@@ -116,6 +118,10 @@ func (t *ConcurrentTracker) Complete(id int32, ready, scratch []int32) ([]int32,
 	}
 	return ready, scratch, false
 }
+
+// fired reports whether counter c sits at this generation's firing
+// value: for a strand's gate, every dependency has been delivered.
+func (t *ConcurrentTracker) fired(c int32) bool { return t.cnt[c].Load() == -t.gen*t.wg.need[c] }
 
 // Reset rewinds the tracker for another run of the same graph in O(1):
 // the generation stamp advances and the sink latch rewinds; the wake

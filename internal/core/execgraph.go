@@ -227,9 +227,6 @@ func (e *ExecGraph) Topo() []int32 { return e.topo }
 // Shared; do not modify.
 func (e *ExecGraph) TopoStrands() []int32 { return e.topoStrands }
 
-// Indeg0 returns the initial indegree of vertex v.
-func (e *ExecGraph) Indeg0(v int32) int32 { return e.indeg0[v] }
-
 // InitIndegrees copies the initial indegrees into dst (allocating when dst
 // is too small) and returns it, for trackers that count down dependencies.
 func (e *ExecGraph) InitIndegrees(dst []int32) []int32 {
@@ -241,9 +238,6 @@ func (e *ExecGraph) InitIndegrees(dst []int32) []int32 {
 	return dst
 }
 
-// StrandNode returns the node ID of the strand with the given strand ID.
-func (e *ExecGraph) StrandNode(id int32) int32 { return int32(e.p.Leaves[id].ID) }
-
 // NumStrands returns the number of strands (leaves) in the program.
 func (e *ExecGraph) NumStrands() int { return len(e.p.Leaves) }
 
@@ -253,14 +247,8 @@ func (e *ExecGraph) Strand(id int32) *Node { return e.p.Leaves[id] }
 // StrandID returns the strand ID of a leaf node.
 func (e *ExecGraph) StrandID(leaf *Node) int32 { return int32(leaf.leafLo) }
 
-// StrandWork returns the work of the strand with the given ID.
-func (e *ExecGraph) StrandWork(id int32) int64 { return e.p.Leaves[id].Work }
-
 // StrandStart returns the start vertex of the strand with the given ID.
 func (e *ExecGraph) StrandStart(id int32) int32 { return StartVertex(e.p.Leaves[id]) }
-
-// StrandEnd returns the end vertex of the strand with the given ID.
-func (e *ExecGraph) StrandEnd(id int32) int32 { return EndVertex(e.p.Leaves[id]) }
 
 // VertexStrand returns the strand ID owning vertex v (either endpoint),
 // or -1 when v belongs to an internal node.

@@ -46,33 +46,8 @@ func StartVertex(n *Node) int32 { return int32(2 * n.ID) }
 // EndVertex returns the event-graph vertex for the end of node n.
 func EndVertex(n *Node) int32 { return int32(2*n.ID + 1) }
 
-// NumVertices returns the number of event-graph vertices.
-func (g *Graph) NumVertices() int { return 2 * len(g.P.Nodes) }
-
 // Exec returns the compiled flat form of the event graph.
 func (g *Graph) Exec() *ExecGraph { return g.eg }
-
-// Succ returns the successor vertices of v. The returned slice is shared;
-// callers must not modify it.
-func (g *Graph) Succ(v int32) []int32 { return g.eg.Succ(v) }
-
-// Pred returns the predecessor vertices of v. The returned slice is shared;
-// callers must not modify it.
-func (g *Graph) Pred(v int32) []int32 { return g.eg.Pred(v) }
-
-// Topo returns a topological order of the event graph vertices.
-// The returned slice is shared; callers must not modify it.
-func (g *Graph) Topo() []int32 { return g.eg.Topo() }
-
-// VertexNode returns the spawn tree node owning vertex v and whether v is
-// the node's end vertex.
-func (g *Graph) VertexNode(v int32) (n *Node, isEnd bool) {
-	return g.P.Nodes[v/2], v%2 == 1
-}
-
-// EdgeWeight returns the weight contributed by traversing from u to v:
-// the strand's work on start→end edges of strands, zero otherwise.
-func (g *Graph) EdgeWeight(u, v int32) int64 { return g.eg.EdgeWeight(u, v) }
 
 // addArrow validates and records a dataflow arrow. Duplicates are allowed
 // here and removed wholesale when the graph is finished, so the DRS never

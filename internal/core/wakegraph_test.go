@@ -74,8 +74,10 @@ func sortedSet(ids []int32) []int32 {
 // TestQuickWakeGraphMatchesEventGraph is the collapse-correctness
 // property: for random programs and rule sets, executed in random
 // completion orders, the wake graph enables exactly the same ready sets —
-// step for step — as the event-graph cascade, through both the serial
-// Tracker and the ConcurrentTracker. Runs under -race in CI.
+// step for step — as the event-graph oracle, through the ConcurrentTracker
+// cascade and through the Tracker view's legality checks and ready
+// collection over it, for both the contracted and the uncontracted
+// fallback wake graph. Runs under -race in CI.
 func TestQuickWakeGraphMatchesEventGraph(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

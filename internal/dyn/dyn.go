@@ -100,8 +100,8 @@ const (
 // their run's frame table for the run's whole pooled lifetime — a freed
 // frame parks as a free index and is reused in place, so the steady state
 // allocates no frame, node or channel memory at all. Every counter is
-// drained back to zero by the decrements that fire it (see
-// core.DynTracker), so reuse needs no counter reset.
+// armed with its need immediately before use and drained back to zero by
+// the decrements that fire it, so reuse needs no counter reset.
 type frame struct {
 	// The counters lead the struct so the scheduling-hot state (armed,
 	// decremented and checked on every spawn, wake and completion) shares
@@ -238,14 +238,13 @@ func (c *Context) Replaying() bool { return c.fr == nil }
 
 // run is one in-flight dynamic computation: the engine-facing DynRun. It
 // owns the frame table (task words carry indices, not pointers, so the
-// deques never hold the only reference to a frame) and the run-level
-// DynTracker whose single root charge is the termination latch.
+// deques never hold the only reference to a frame). The root frame's
+// completion is the run's termination signal (see completeFrame).
 type run struct {
 	eng  *exec.Engine
 	r    *exec.Run
 	slot int32
 	root *frame
-	trk  core.DynTracker
 
 	// prog, observing and recording tie the run to an adaptive-replay
 	// Program (jit.go): observing folds per-frame shape hashes into the
@@ -332,7 +331,6 @@ func (r *run) Retire() {
 		r.prog, r.observing, r.recording, r.recorder = nil, false, false, nil
 		p.runRetired(r.eng, key, rec)
 	}
-	r.trk.Reset()
 	r.eng, r.r, r.root = nil, nil, nil
 	runPool.Put(r)
 }
@@ -624,18 +622,14 @@ func (r *run) bodyDone(fr *frame) (rootDone bool) {
 // child a finished or syncing ancestor was waiting for. Runs as a loop on
 // the completing worker, so a deep chain of final syncs costs no stack
 // and no extra task words. Returns true when the cascade completed the
-// root — the whole run is over. Only the root touches the run-level
-// tracker: a task completes strictly after its subtree, so the root's
-// completion is the termination event and per-child global accounting
-// would be redundant atomics on the spawn path.
+// root — the whole run is over: a task completes strictly after its
+// subtree, so the root's completion is the termination event, and no
+// run-global counter is needed on the spawn path.
 func (r *run) completeFrame(w *exec.Worker, fr *frame) bool {
 	for {
 		p := fr.parent
 		r.freeFrame(w, fr)
 		if p == nil {
-			if !r.trk.Completed() {
-				panic("dyn: root frame completed twice in one generation")
-			}
 			return true
 		}
 		if p.kids.Add(-1) != 0 {
@@ -855,7 +849,6 @@ func submitRun(e *exec.Engine, p *Program, root Task) (*exec.Run, error) {
 		}
 	}
 	r.root = r.newFrame(nil, nil, root)
-	r.trk.Spawned()
 	if r.observing {
 		r.root.ph = core.PedigreeRoot()
 		r.root.eh, r.root.veh, r.root.spawnN = 0, 0, 0
@@ -872,7 +865,6 @@ func submitRun(e *exec.Engine, p *Program, root Task) (*exec.Run, error) {
 			p.abortSubmit(r.recording)
 		}
 		r.prog, r.observing, r.recording, r.recorder = nil, false, false, nil
-		r.trk.Completed()
 		r.freeFrame(nil, r.root)
 		r.Retire()
 		return nil, err

@@ -358,8 +358,7 @@ func fanRoot(n int) Task {
 }
 
 func TestRunReusePooledState(t *testing.T) {
-	// Back-to-back runs on one engine exercise run/frame recycling and
-	// the DynTracker generation reset.
+	// Back-to-back runs on one engine exercise run/frame recycling.
 	e := cleanEngine(t, 4)
 	var total atomic.Int64
 	for round := 0; round < 50; round++ {

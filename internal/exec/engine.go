@@ -278,7 +278,7 @@ type Engine struct {
 	active   int // in-flight runs, under mu
 	// inject is the global submission queue (tasks not yet on any deque),
 	// consumed FIFO from injectHead so the oldest submission's strands are
-	// served first; the dead prefix is compacted, worksteal-deque style.
+	// served first; the dead prefix is compacted.
 	inject     []int64
 	injectHead int
 	// spares are goroutines parked after donating their worker identity
@@ -324,6 +324,19 @@ func NewEngine(workers int, opts ...Option) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	e := newEngine(workers, cfg)
+	for w := 0; w < workers; w++ {
+		e.wg.Add(1)
+		go e.worker(w)
+	}
+	return e
+}
+
+// newEngine builds an engine's scheduling state — deques, injector, run
+// table, caches, counters — without starting its workers. NewEngine
+// starts them; the virtual-time scheduler (SimScheduler) drives the same
+// state from one goroutine instead.
+func newEngine(workers int, cfg engineConfig) *Engine {
 	e := &Engine{
 		workers:  workers,
 		deques:   make([]*wsDeque, workers),
@@ -344,10 +357,6 @@ func NewEngine(workers int, opts ...Option) *Engine {
 	}
 	empty := make([]*Run, 0, 8)
 	e.slots.Store(&empty)
-	for w := 0; w < workers; w++ {
-		e.wg.Add(1)
-		go e.worker(w)
-	}
 	return e
 }
 
@@ -393,7 +402,7 @@ func (e *Engine) submit(eg *core.ExecGraph, owned *Instance) (*Run, error) {
 			// Stamp before evicting: a fresh entry with use==0 would be
 			// the minimum-tick scan's own victim, so at cap the cache
 			// would evict every new entry on arrival and never turn over.
-			e.evictPoolsLocked()
+			e.evictLocked()
 		}
 		pool.use = e.cacheTick
 		if n := len(pool.free); n > 0 {
@@ -453,7 +462,7 @@ func (e *Engine) SubmitProgram(p *core.Program) (*Run, error) {
 		ent = &progEntry{use: e.cacheTick}
 		e.progs[p] = ent
 		e.met.progMisses.IncShared()
-		e.evictProgsLocked()
+		e.evictLocked()
 	} else {
 		e.met.progHits.IncShared()
 	}
@@ -466,39 +475,29 @@ func (e *Engine) SubmitProgram(p *core.Program) (*Run, error) {
 	return e.Submit(ent.g)
 }
 
-// evictPoolsLocked drops least-recently-touched instance pools until the
-// map respects the cap. Evicting a pool with in-flight runs is safe: each
-// run holds its own pool pointer and re-pools its instance there; the
-// orphaned pool is collected once those runs retire.
-func (e *Engine) evictPoolsLocked() {
-	for len(e.pools) > e.cacheCap {
-		var victim *core.ExecGraph
-		min := uint64(0)
-		for eg, pool := range e.pools {
-			if victim == nil || pool.use < min {
-				victim, min = eg, pool.use
-			}
-		}
-		delete(e.pools, victim)
-		e.met.evictions.IncShared()
-	}
+// evictLocked drops least-recently-touched entries from both compile
+// caches until each respects the cap. Evicting a pool with in-flight runs
+// is safe: each run holds its own pool pointer and re-pools its instance
+// there; the orphaned pool is collected once those runs retire. An entry
+// mid-compile is safe to evict too: the submitting goroutine holds it
+// directly, and a later submission of the same program recompiles into a
+// fresh entry.
+func (e *Engine) evictLocked() {
+	evictLRU(e, e.pools, func(p *instPool) uint64 { return p.use })
+	evictLRU(e, e.progs, func(p *progEntry) uint64 { return p.use })
 }
 
-// evictProgsLocked drops least-recently-touched program cache entries
-// until the map respects the cap. An entry mid-compile is safe to evict:
-// the submitting goroutine holds it directly; a later submission of the
-// same program recompiles into a fresh entry.
-func (e *Engine) evictProgsLocked() {
-	for len(e.progs) > e.cacheCap {
-		var victim *core.Program
-		min := uint64(0)
-		first := true
-		for p, ent := range e.progs {
-			if first || ent.use < min {
-				victim, min, first = p, ent.use, false
+// evictLRU deletes m's minimum-use entries until len(m) ≤ e.cacheCap.
+func evictLRU[K comparable, V any](e *Engine, m map[K]V, use func(V) uint64) {
+	for len(m) > e.cacheCap {
+		var victim K
+		min, first := uint64(0), true
+		for k, v := range m {
+			if u := use(v); first || u < min {
+				victim, min, first = k, u, false
 			}
 		}
-		delete(e.progs, victim)
+		delete(m, victim)
 		e.met.evictions.IncShared()
 	}
 }
@@ -512,8 +511,7 @@ func (e *Engine) SetCacheCap(n int) {
 	}
 	e.mu.Lock()
 	e.cacheCap = n
-	e.evictPoolsLocked()
-	e.evictProgsLocked()
+	e.evictLocked()
 	e.mu.Unlock()
 }
 

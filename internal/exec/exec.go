@@ -4,13 +4,13 @@
 // adversarial randomized topological order (for testing that fire rules
 // enforce every dependency) and a deterministic reverse-greedy order —
 // beside the Engine, the lock-free work-stealing runtime every parallel
-// execution goes through (RunParallel is a one-shot wrapper over it).
+// execution goes through (RunParallel is a one-shot wrapper over it), and
+// SimScheduler, the Engine's ready structure driven in virtual time.
 package exec
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
 
 	"github.com/ndflow/ndflow/internal/core"
@@ -61,11 +61,32 @@ func RunElision(g *core.Graph) error {
 // mis-ordered execution and a wrong result.
 func RunRandomTopo(g *core.Graph, seed int64) error {
 	r := rand.New(rand.NewSource(seed))
+	return runPicking(g, "random topo order", func(pool []int32) int { return r.Intn(len(pool)) })
+}
+
+// RunReverseGreedy executes strands by always picking the ready strand
+// with the greatest leaf index: the schedule furthest from the serial
+// elision. Useful as a deterministic adversarial order.
+func RunReverseGreedy(g *core.Graph) error {
+	return runPicking(g, "reverse-greedy order", func(pool []int32) int {
+		best := 0
+		for i, id := range pool {
+			if id > pool[best] {
+				best = i
+			}
+		}
+		return best
+	})
+}
+
+// runPicking executes the strands one at a time, pick choosing each one's
+// index in the pool of ready strand IDs.
+func runPicking(g *core.Graph, order string, pick func(pool []int32) int) error {
 	eg := g.Exec()
 	t := core.NewTracker(g)
 	pool := t.TakeReadyIDs(nil)
 	for len(pool) > 0 {
-		i := r.Intn(len(pool))
+		i := pick(pool)
 		id := pool[i]
 		pool[i] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
@@ -80,40 +101,7 @@ func RunRandomTopo(g *core.Graph, seed int64) error {
 		pool = t.TakeReadyIDs(pool)
 	}
 	if !t.Done() {
-		return fmt.Errorf("exec: random topo order stalled at %d of %d strands (DAG deadlock)", t.Executed(), len(g.P.Leaves))
-	}
-	return nil
-}
-
-// RunReverseGreedy executes strands by always picking the ready strand
-// with the greatest leaf index: the schedule furthest from the serial
-// elision. Useful as a deterministic adversarial order.
-func RunReverseGreedy(g *core.Graph) error {
-	eg := g.Exec()
-	t := core.NewTracker(g)
-	pool := t.TakeReadyIDs(nil)
-	for len(pool) > 0 {
-		best := 0
-		for i, id := range pool {
-			if id > pool[best] {
-				best = i
-			}
-		}
-		id := pool[best]
-		pool[best] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		if leaf := eg.Strand(id); leaf.Run != nil {
-			if perr := guardBody(id, leaf.Label, leaf.Run); perr != nil {
-				return perr
-			}
-		}
-		if err := t.CompleteID(id); err != nil {
-			return err
-		}
-		pool = t.TakeReadyIDs(pool)
-	}
-	if !t.Done() {
-		return fmt.Errorf("exec: reverse-greedy order stalled at %d of %d strands", t.Executed(), len(g.P.Leaves))
+		return fmt.Errorf("exec: %s stalled at %d of %d strands (DAG deadlock)", order, t.Executed(), len(g.P.Leaves))
 	}
 	return nil
 }
@@ -125,30 +113,9 @@ func RunReverseGreedy(g *core.Graph) error {
 // managing an engine's lifetime. Create an Engine explicitly to amortize
 // the pool and the run state across runs.
 func RunParallel(g *core.Graph, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eg := g.Exec()
-	if workers == 1 {
-		// Degenerate pool: one worker steals from nobody, and the compile
-		// step already proved acyclicity and banked a legal serial
-		// schedule (the topological order of strand starts), so readiness
-		// bookkeeping vanishes entirely: just run the schedule.
-		for _, id := range eg.TopoStrands() {
-			if leaf := eg.Strand(id); leaf.Run != nil {
-				if perr := guardBody(id, leaf.Label, leaf.Run); perr != nil {
-					return perr
-				}
-			}
-		}
-		if total := eg.NumStrands(); len(eg.TopoStrands()) != total {
-			return fmt.Errorf("exec: compiled schedule covers %d of %d strands", len(eg.TopoStrands()), total)
-		}
-		return nil
-	}
 	e := NewEngine(workers)
 	defer e.Close()
-	r, err := e.SubmitInstance(NewInstance(eg))
+	r, err := e.SubmitInstance(NewInstance(g.Exec()))
 	if err != nil {
 		return err
 	}

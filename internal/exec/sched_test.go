@@ -19,7 +19,7 @@ func sweepContract(t *testing.T) {
 	for self := 0; self < workers; self++ {
 		nSites := workers - 1
 		for only := 0; only <= nSites; only++ { // only == nSites: every site
-			e := sweepEngine(workers)
+			e := newEngine(workers, engineConfig{})
 			taken := make(map[int64]int)
 			var id int32
 			for i, d := range sweepSites(e, self) {
@@ -55,16 +55,6 @@ func sweepContract(t *testing.T) {
 			}
 		}
 	}
-}
-
-// sweepEngine builds an engine without starting its workers: sweep needs
-// only deques and met.
-func sweepEngine(workers int) *Engine {
-	e := &Engine{workers: workers, deques: make([]*wsDeque, workers), met: newMetricsSet(workers)}
-	for i := range e.deques {
-		e.deques[i] = newWSDeque(4)
-	}
-	return e
 }
 
 // sweepSites returns the deques a worker other than self can publish

@@ -5,10 +5,10 @@ import (
 
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/metrics"
 	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/sched/spacebound"
-	"github.com/ndflow/ndflow/internal/sched/worksteal"
 	"github.com/ndflow/ndflow/internal/sim"
 )
 
@@ -139,8 +139,9 @@ func e5Theorem3(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// e7Schedulers compares work stealing and space-bounded scheduling on the
-// same machine: per-level misses and makespan (§5 motivation, [47, 48]).
+// e7Schedulers compares work stealing — the engine's own scheduler in
+// virtual time — and space-bounded scheduling on the same machine:
+// per-level misses and makespan (§5 motivation, [47, 48]).
 func e7Schedulers(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
@@ -164,7 +165,7 @@ func e7Schedulers(cfg Config) (*Table, error) {
 			}
 			var sched sim.Scheduler
 			if which == "WS" {
-				sched = worksteal.New(11)
+				sched = exec.NewSimScheduler()
 			} else {
 				sched = spacebound.New(spacebound.Config{})
 			}

@@ -11,10 +11,12 @@
 // any other line may still read or write plainly, which voids the
 // ordering the algorithm depends on. So every use of a sync/atomic
 // package-level function is a finding: the typed atomics are the only
-// way in.
+// way in. Test files are checked too: a test that drives the engine's
+// counters through plain memory races them all the same.
 package atomicfield
 
 import (
+	"go/ast"
 	"go/types"
 
 	"github.com/ndflow/ndflow/internal/lint/analysis"
@@ -28,12 +30,14 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for id, obj := range pass.TypesInfo.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Signature().Recv() != nil {
-			continue
-		}
-		pass.Reportf(id.Pos(), "atomic.%s operates on plain memory that other code can access plainly; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fn.Name())
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, _ := n.(*ast.Ident)
+			if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Signature().Recv() == nil {
+				pass.Reportf(id.Pos(), "atomic.%s operates on plain memory that other code can access plainly; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fn.Name())
+			}
+			return true
+		})
 	}
 	return nil
 }

@@ -72,7 +72,7 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 			needEscapes = needEscapes || a.NeedsEscapes
 		}
 		var escapes []analysis.Escape
-		if needEscapes {
+		if needEscapes && !p.Test {
 			if escapes, err = escape.Analyze(p); err != nil {
 				return nil, err
 			}

@@ -3,8 +3,9 @@
 // standard library and the go tool itself.
 //
 // The pipeline is the offline half of what x/tools' go/packages does in
-// LoadAllSyntax mode: one `go list -e -export -deps -json` invocation
-// yields every package in the build closure together with compiler
+// LoadAllSyntax mode: one `go list -e -export -deps -test -json`
+// invocation yields every package in the build closure, the test
+// variants of the named packages among them, together with compiler
 // export data (the go tool builds missing archives as a side effect),
 // then each target package's sources are parsed and type-checked
 // against that export data through the standard gc importer. Only the
@@ -34,7 +35,11 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
-	GoFiles    []string // base names, as compiled (no tests)
+	GoFiles    []string // base names, as compiled
+	// Test marks a test variant (the package with its _test.go files, or
+	// its external _test package): Syntax holds only the _test.go files,
+	// so no file is analyzed twice. Info covers every compiled file.
+	Test bool
 
 	Fset   *token.FileSet
 	Syntax []*ast.File
@@ -53,6 +58,8 @@ type listPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
+	ForTest    string            // set on test variants
+	ImportMap  map[string]string // import path → variant, in test variants
 	DepOnly    bool
 	Incomplete bool
 	Error      *struct{ Err string }
@@ -67,7 +74,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-test", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -93,7 +100,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly {
+		// The generated test main (import path "P.test") is not source.
+		if !p.DepOnly && (p.ForTest != "" || !strings.HasSuffix(p.ImportPath, ".test")) {
 			q := p
 			targets = append(targets, &q)
 		}
@@ -101,16 +109,20 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		e, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(e)
-	}
-
 	var pkgs []*Package
 	for _, t := range targets {
+		// A test variant imports the variants its ImportMap names (the
+		// package under test recompiled with its _test.go files).
+		lookup := func(path string) (io.ReadCloser, error) {
+			if v, ok := t.ImportMap[path]; ok {
+				path = v
+			}
+			e, ok := exports[path]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(e)
+		}
 		if len(t.GoFiles) == 0 {
 			continue
 		}
@@ -133,14 +145,25 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		// that also appear in each other's dep closures is fine, but a
 		// fresh one keeps failure attribution per package.
 		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-		tpkg, err := conf.Check(t.ImportPath, fset, files, info)
+		path, _, _ := strings.Cut(t.ImportPath, " [")
+		tpkg, err := conf.Check(path, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %v", t.ImportPath, err)
+		}
+		if t.ForTest != "" {
+			var tests []*ast.File
+			for i, name := range t.GoFiles {
+				if strings.HasSuffix(name, "_test.go") {
+					tests = append(tests, files[i])
+				}
+			}
+			files = tests
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: t.ImportPath,
 			Dir:        t.Dir,
 			GoFiles:    t.GoFiles,
+			Test:       t.ForTest != "",
 			Fset:       fset,
 			Syntax:     files,
 			Types:      tpkg,

@@ -14,11 +14,11 @@ import (
 	"github.com/ndflow/ndflow/internal/algos/matmul"
 	"github.com/ndflow/ndflow/internal/algos/trs"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
 	"github.com/ndflow/ndflow/internal/metrics"
 	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/sched/spacebound"
-	"github.com/ndflow/ndflow/internal/sched/worksteal"
 	"github.com/ndflow/ndflow/internal/sim"
 )
 
@@ -91,7 +91,7 @@ func runOn(t *testing.T, g *core.Graph, spec pmh.Spec, sched sim.Scheduler) *sim
 func TestWorkStealingCompletes(t *testing.T) {
 	for _, model := range []algos.Model{algos.NP, algos.ND} {
 		g := trsGraph(t, model, 32, 4)
-		res := runOn(t, g, twoLevelSpec(4), worksteal.New(1))
+		res := runOn(t, g, twoLevelSpec(4), exec.NewSimScheduler())
 		if res.Makespan <= 0 {
 			t.Fatalf("%s: makespan = %d", model, res.Makespan)
 		}
@@ -146,7 +146,7 @@ func TestSBLocalityBeatsWS(t *testing.T) {
 	g := mmGraph(t, algos.ND, 32, 2)
 	sb := runOn(t, g, spec, spacebound.New(spacebound.Config{}))
 	gWS := mmGraph(t, algos.ND, 32, 2)
-	ws := runOn(t, gWS, spec, worksteal.New(7))
+	ws := runOn(t, gWS, spec, exec.NewSimScheduler())
 	top := len(spec.Caches) - 1
 	if sb.Misses[top] > ws.Misses[top]*11/10 {
 		t.Errorf("SB top-level misses %d exceed WS %d by >10%%", sb.Misses[top], ws.Misses[top])
@@ -169,7 +169,7 @@ func TestNDOutperformsNPUnderSB(t *testing.T) {
 // any scheduler.
 func TestWorkConservation(t *testing.T) {
 	g := lcsGraph(t, algos.ND, 32, 4)
-	res := runOn(t, g, twoLevelSpec(4), worksteal.New(2))
+	res := runOn(t, g, twoLevelSpec(4), exec.NewSimScheduler())
 	if res.Work != g.P.Work() {
 		t.Fatalf("simulated work %d != program work %d", res.Work, g.P.Work())
 	}

@@ -1,6 +1,6 @@
 // Determinism of the discrete-event engine: the experiment harness and
 // the golden tables depend on sim.Run being a pure function of (graph,
-// machine spec, scheduler seed). This lives in an external test package
+// machine spec, scheduler). This lives in an external test package
 // so it can use the real schedulers (which import sim).
 package sim_test
 
@@ -12,10 +12,10 @@ import (
 	"github.com/ndflow/ndflow/internal/algos/fw"
 	"github.com/ndflow/ndflow/internal/algos/trs"
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
 	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/sched/spacebound"
-	"github.com/ndflow/ndflow/internal/sched/worksteal"
 	"github.com/ndflow/ndflow/internal/sim"
 	"math/rand"
 )
@@ -61,13 +61,14 @@ func simSpec() pmh.Spec {
 	}
 }
 
-// TestSimDeterministic runs the same graph under both scheduler policies
-// with fixed seeds, several times each, and requires every Result —
+// TestSimDeterministic runs the same graph under both schedulers (the
+// engine's ready structure in virtual time, and space-bounded), several
+// times each, and requires every Result —
 // makespan, misses per level, busy time per processor, access counts —
 // to be identical across repetitions.
 func TestSimDeterministic(t *testing.T) {
 	for _, name := range []string{"FW-1D", "TRS"} {
-		for _, policy := range []string{"worksteal", "spacebound"} {
+		for _, policy := range []string{"engine", "spacebound"} {
 			t.Run(name+"/"+policy, func(t *testing.T) {
 				var first *sim.Result
 				for rep := 0; rep < 3; rep++ {
@@ -77,8 +78,8 @@ func TestSimDeterministic(t *testing.T) {
 						t.Fatal(err)
 					}
 					var sched sim.Scheduler
-					if policy == "worksteal" {
-						sched = worksteal.New(17)
+					if policy == "engine" {
+						sched = exec.NewSimScheduler()
 					} else {
 						sched = spacebound.New(spacebound.Config{})
 					}

@@ -13,9 +13,10 @@
 //     DAGs, plus work/span analysis and critical paths;
 //   - the paper's cost metrics: parallel cache complexity Q*(t;M),
 //     effective cache complexity Q̂α(t;M) and parallelizability αmax;
-//   - a Parallel Memory Hierarchy simulator with work-stealing and
-//     space-bounded schedulers, for reproducing the paper's Theorem 1 and
-//     Theorem 3 guarantees;
+//   - a Parallel Memory Hierarchy simulator with two schedulers, for
+//     reproducing the paper's Theorem 1 and Theorem 3 guarantees: the
+//     space-bounded scheduler, and the engine's own work stealer run in
+//     virtual time;
 //   - a real goroutine runtime executing ND DAGs on actual cores, both as
 //     one-shot runs (Run) and as a long-lived execution engine (NewEngine)
 //     with a shared worker pool, zero-allocation graph re-runs and a
@@ -32,7 +33,6 @@ package ndflow
 
 import (
 	"io"
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -44,7 +44,6 @@ import (
 	"github.com/ndflow/ndflow/internal/metrics"
 	"github.com/ndflow/ndflow/internal/pmh"
 	"github.com/ndflow/ndflow/internal/sched/spacebound"
-	"github.com/ndflow/ndflow/internal/sched/worksteal"
 	"github.com/ndflow/ndflow/internal/sim"
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
@@ -287,12 +286,6 @@ func DefaultEngine() *Engine {
 // on a transient engine of exactly that size, closed when Run returns.
 func Run(g *Graph, workers int) error {
 	if workers <= 0 {
-		if runtime.GOMAXPROCS(0) == 1 {
-			// A default-sized pool has one worker: keep RunParallel's
-			// allocation-free compiled-schedule replay instead of paying
-			// tracker construction and an engine round-trip.
-			return exec.RunParallel(g, 1)
-		}
 		r, err := DefaultEngine().SubmitInstance(exec.NewInstance(g.Exec()))
 		if err != nil {
 			return err
@@ -377,7 +370,8 @@ type CacheSpec = pmh.CacheSpec
 type SimResult = sim.Result
 
 // Simulate runs the program on a simulated PMH under the named scheduler
-// policy ("sb" for space-bounded, "ws" for work stealing).
+// policy: "sb" for space-bounded, "ws" for work stealing — the engine's
+// own deques, injector and steal sweep, one virtual worker per processor.
 func Simulate(g *Graph, spec MachineSpec, policy string) (*SimResult, error) {
 	m, err := pmh.New(spec)
 	if err != nil {
@@ -388,7 +382,7 @@ func Simulate(g *Graph, spec MachineSpec, policy string) (*SimResult, error) {
 	case "sb", "space-bounded":
 		sched = spacebound.New(spacebound.Config{})
 	case "ws", "work-stealing":
-		sched = worksteal.New(1)
+		sched = exec.NewSimScheduler()
 	default:
 		return nil, &UnknownPolicyError{Policy: policy}
 	}

@@ -67,10 +67,10 @@ func TestPriorityTableStructure(t *testing.T) {
 							succ = d
 						}
 					}
-					want := eg.StrandWork(int32(s)) + succ
+					want := eg.Strand(int32(s)).Work + succ
 					if depths[s] != want {
 						t.Fatalf("strand %d: depth %d, want work %d + deepest successor %d = %d",
-							s, depths[s], eg.StrandWork(int32(s)), succ, want)
+							s, depths[s], eg.Strand(int32(s)).Work, succ, want)
 					}
 				}
 
